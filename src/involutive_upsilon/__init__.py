@@ -20,17 +20,16 @@ from .reduction import (ClosedFormOutput, ReductionResult,
 from .staircase import (Pointing, Sign, StaircaseClass, StaircaseSpec, classify,
                         mirror, staircase_from_steps, steps_from_torus_knot,
                         unknot_complex)
-from .upsilon import (CosetSizeError, UpsilonVariant, chain_deg_t, deg_t,
-                      involutive_cone, nu_function, slope_bound_check,
-                      tower_witness, upsilon, upsilon_pair_from_cone,
-                      v0_invariants)
+from .upsilon import (UpsilonVariant, chain_deg_t, deg_t, involutive_cone,
+                      nu_function, slope_bound_check, tower_witness, upsilon,
+                      upsilon_pair_from_cone, v0_invariants)
 from .verify import run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BifilteredComplex", "Chain", "ChainMap", "ClosedFormOutput",
-    "CosetSizeError", "FiltrationMode", "Generator", "PLFunction", "Pointing",
+    "FiltrationMode", "Generator", "PLFunction", "Pointing",
     "ReductionResult", "Sign", "StaircaseClass", "StaircaseSpec",
     "UpsilonVariant", "ValidationReport", "boundary", "chain_deg_t",
     "classify", "closed_form_cone_reduction", "deg_t", "direct_sum",

@@ -5,8 +5,8 @@ Commands:
   verify        run the cross-check suites (the repository's acceptance gate)
   dump-complex  emit the JSON of a knot complex at a chosen pipeline stage
 
-Exit codes: 0 success, 2 parse/usage error, 3 guard violation,
-4 engine or verification mismatch, 5 I/O error.
+Exit codes: 0 success, 2 parse/usage error, 4 engine or verification
+mismatch, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -24,15 +24,14 @@ from .reduction import strip_acyclic
 from .render import (UPSILON_LABELS, format_plfunction, format_rational,
                      plfunction_csv, render_svg)
 from .staircase import Sign, StaircaseSpec, staircase_from_steps, steps_from_torus_knot
-from .upsilon import (CosetSizeError, UpsilonVariant, involutive_cone,
-                      upsilon, upsilon_pair_from_cone)
+from .upsilon import (UpsilonVariant, involutive_cone, upsilon,
+                      upsilon_pair_from_cone)
 from .verify import run_verify
 
 INVARIANT_NAMES = ("classic", "folded", "upper", "lower", "v0")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_GUARD = 3
 EXIT_MISMATCH = 4
 EXIT_IO = 5
 
@@ -140,9 +139,10 @@ def build_knot(recipe: KnotRecipe):
 
 
 def _slug(label: str) -> str:
+    """File stem of a knot label; '-' becomes 'm' so a mirror keeps its own stem."""
     keep = []
     for ch in label:
-        keep.append(ch if ch.isalnum() else "_")
+        keep.append(ch if ch.isalnum() else "m" if ch == "-" else "_")
     return "".join(keep).strip("_")
 
 
@@ -241,6 +241,15 @@ def _emit(job: JobSpec, all_results, stdout) -> None:
 
 def run(job: JobSpec, stdout=None) -> int:
     stdout = stdout or sys.stdout
+    if job.output != "table":
+        stems: dict = {}
+        for text in job.knots:
+            stem = _slug(text)
+            if stem in stems:
+                print(f"error: knots {stems[stem]!r} and {text!r} would write the "
+                      f"same {job.output} file stem {stem!r}", file=sys.stderr)
+                return EXIT_PARSE
+            stems[stem] = text
     try:
         all_results = []
         for text in job.knots:
@@ -253,9 +262,6 @@ def run(job: JobSpec, stdout=None) -> int:
     except KnotSpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except CosetSizeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GUARD
     except EngineMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -295,13 +301,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results = run_verify(max_steps=args.max_steps,
-                             grid_denominator=args.grid_denominator,
-                             seed=args.seed)
-    except CosetSizeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GUARD
+    results = run_verify(max_steps=args.max_steps,
+                         grid_denominator=args.grid_denominator, seed=args.seed)
     ok = True
     for r in results:
         status = "ok  " if r.ok else "FAIL"

@@ -296,6 +296,8 @@ def _check_keys(obj: dict, allowed: set, required: set, what: str):
 
 
 def _edge_list(entries, what: str) -> frozenset:
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} must be a list")
     pairs = set()
     for e in entries:
         if not isinstance(e, dict):
@@ -319,6 +321,8 @@ def complex_from_dict(d: dict):
         mode = FiltrationMode(d["mode"])
     except ValueError:
         raise ValueError(f"unknown mode {d['mode']!r}") from None
+    if not isinstance(d["generators"], list):
+        raise ValueError("generators must be a list")
     gens = []
     for entry in d["generators"]:
         if not isinstance(entry, dict):

@@ -1,8 +1,8 @@
 """Exact piecewise-linear functions on [0, 2] with rational breakpoints.
 
-The envelope engine below works on "piece lists": a piece list covers
-[0, 2] with entries (t_start, (slope, intercept)), starts strictly
-increasing and the first at 0.  Line coefficients are exact numbers
+`merge_pieces` below works on "piece lists": a piece list covers [0, 2]
+with entries (t_start, (slope, intercept)), starts strictly increasing
+and the first at 0.  Line coefficients are exact numbers
 (ints or Fractions), so every comparison and crossing is exact.
 """
 
@@ -96,42 +96,6 @@ class PLFunction:
 
     def pointwise_min(self, other: "PLFunction") -> "PLFunction":
         return PLFunction.from_pieces(merge_pieces(self.pieces(), other.pieces(), False))
-
-
-def line_min_envelope(lines, lo=Fraction(0), hi=Fraction(2)):
-    """Lower envelope of a set of lines, clipped to [lo, hi], as pieces.
-
-    The envelope is concave: processing slopes in decreasing order builds
-    its pieces left to right by the usual hull scan.
-    """
-    best: dict = {}
-    for s, b in lines:
-        if s not in best or b < best[s]:
-            best[s] = b
-    items = sorted(best.items(), key=lambda sb: -Fraction(sb[0]))
-    stack: list = []  # (start t or None for -infinity, line)
-    for s, b in items:
-        line = (s, b)
-        while stack:
-            t0, top = stack[-1]
-            tx = _cross(top, line)
-            if t0 is not None and tx <= t0:
-                stack.pop()
-                continue
-            stack.append((tx, line))
-            break
-        else:
-            stack.append((None, line))
-    pieces = []
-    for i, (t0, line) in enumerate(stack):
-        start = lo if t0 is None else max(lo, t0)
-        end = hi if i + 1 == len(stack) else min(hi, stack[i + 1][0])
-        if start < end:
-            if pieces and pieces[-1][1] == line:
-                continue
-            pieces.append((start, line))
-    assert pieces, "hull pieces tile the line, so one must meet [lo, hi]"
-    return pieces
 
 
 def merge_pieces(p1, p2, take_max: bool):

@@ -4,8 +4,8 @@ For t in [0, 2] the interpolated filtration degree of a translated
 generator is deg_t = (t/2) * Max + (1 - t/2) * Min, dropping by 1 per
 U power.  The level of a homology class is the minimum of deg_t over its
 cycle representatives; Upsilon is -2 times that level, computed exactly
-as a piecewise-linear function by enumerating the representative coset
-and taking an upper envelope of concave min-of-lines functions.
+as a piecewise-linear function by a sweep over t that reduces the base
+cycle in filtration order once per breakpoint.
 
 Variants: CLASSIC applies the same weights verbatim to the (alg, Alex)
 pair of an unfolded complex (t/2 on Alex); FOLDED uses the grading-0
@@ -23,10 +23,8 @@ from . import gf2
 from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
                         homology_data, u_window)
 from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
-from .plfunction import PLFunction, line_min_envelope, merge_pieces
+from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
-
-COSET_GUARD = 24
 
 
 class UpsilonVariant(Enum):
@@ -34,10 +32,6 @@ class UpsilonVariant(Enum):
     FOLDED = "folded"
     UPPER = "upper"
     LOWER = "lower"
-
-
-class CosetSizeError(ValueError):
-    """Representative coset dimension exceeded the enumeration guard."""
 
 
 def deg_t(g: Generator, t, u_power: int = 0) -> Fraction:
@@ -90,20 +84,24 @@ def tower_witness(C: BifilteredComplex, grading: int) -> TowerClassWitness:
                              tuple(_chain(b, win) for b in boundaries))
 
 
-def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0,
-                    coset_guard: int = COSET_GUARD):
-    """Upper envelope, in Upsilon units, over the representative coset.
+def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0):
+    """Upsilon of the rank-1 tower class as a piece list, by a sweep over t.
 
-    Each coordinate (a U-translate of a generator) contributes the line
-    -2 * (f1 - u) - t * (f2 - f1); a chain's function is the min of its
-    coordinate lines and the class takes the pointwise max over the coset.
-    Coset elements carrying a line already dominated everywhere by the
-    running envelope are skipped; that never changes the maximum.
+    Each coordinate (a U-translate of a generator) carries the integer line
+    -2 * (f1 - u) - t * (f2 - f1).  At a fixed t, order the coordinates so
+    that the lowest value takes the highest bit; reducing the base cycle
+    against the boundary basis, pivoting on the highest bit, leaves the
+    coset element whose leading coordinate is lowest, and that leading
+    line is the class's value.  Ties are broken by slope, which is the
+    order just after t, so the same line stays the value until it crosses
+    another coordinate's line: swaps between two lines on the same side of
+    it change no coset element's leading coordinate.  Only coordinates in
+    the support of the coset are ever looked at.
     """
     win, pos, win_up, base, boundaries = _strict_tower(C, grading)
     coords = list(win)
-    coord_pos = dict(pos)
     if window_pad:
+        coord_pos = dict(pos)
         sources = list(win_up)
         for j in range(1, window_pad + 1):
             sources += u_window(C, grading + 1 - 2 * j)
@@ -119,65 +117,60 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0,
                 m |= 1 << coord_pos[key]
             cols.append(m)
         boundaries = gf2.image_basis(cols)
-    b = len(boundaries)
-    if b > coset_guard:
-        raise CosetSizeError(
-            f"coset dimension {b} exceeds the guard {coset_guard}")
 
+    support = base
+    for v in boundaries:
+        support |= v
+    used = [i for i in range(support.bit_length()) if support >> i & 1]
+    local = {c: k for k, c in enumerate(used)}
     lines = []
-    for u, gid in coords:
+    for c in used:
+        u, gid = coords[c]
         g = C.by_id[gid]
         lines.append((-(g.f2 - g.f1), -2 * (g.f1 - u)))
+    distinct = set(lines)
 
     def bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return [local[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
-    envelope = None
-    dead = 0
-    alive = list(range(len(coords)))
-    cur = base
-    for i in range(1 << b):
-        if i:
-            cur ^= boundaries[(i & -i).bit_length() - 1]
-        if cur & dead:
-            continue
-        cand = line_min_envelope(lines[c] for c in bits(cur))
-        if envelope is None:
-            envelope = cand
-        else:
-            merged = merge_pieces(envelope, cand, True)
-            if merged == envelope:
+    base_bits = bits(base)
+    boundary_bits = [bits(v) for v in boundaries]
+    n = len(used)
+    pieces = []
+    p, q = 0, 1  # the sweep position t = p / q
+    while True:
+        # ascending value at t, then ascending slope: position j takes bit n-1-j
+        order = sorted(range(n), key=lambda k: (lines[k][0] * p + lines[k][1] * q,
+                                                 lines[k][0]))
+        bit = [0] * n
+        for j, k in enumerate(order):
+            bit[k] = n - 1 - j
+        elim = gf2.Eliminator(sum(1 << bit[k] for k in vec) for vec in boundary_bits)
+        lead = elim.residual(sum(1 << bit[k] for k in base_bits)).bit_length() - 1
+        slope, icpt = lines[order[n - 1 - lead]]
+        if not pieces or pieces[-1][1] != (slope, icpt):
+            pieces.append((Fraction(p, q), (slope, icpt)))
+        # the nearest crossing after t, as num / den; t = 2 ends the sweep
+        num, den = 2, 1
+        for s, b in distinct:
+            if s == slope:
                 continue
-            envelope = merged
-        ts = [t for t, _ in envelope] + [Fraction(2)]
-        vals = []
-        k = 0
-        for t in ts:
-            while k + 1 < len(envelope) and envelope[k + 1][0] <= t:
-                k += 1
-            s, c0 = envelope[k][1]
-            vals.append(c0 + s * t)
-        still = []
-        for c in alive:
-            s, c0 = lines[c]
-            if all(c0 + s * t <= v for t, v in zip(ts, vals)):
-                dead |= 1 << c
-            else:
-                still.append(c)
-        alive = still
-    return envelope
+            xn, xd = b - icpt, slope - s
+            if xd < 0:
+                xn, xd = -xn, -xd
+            if xn * q > p * xd and xn * den < num * xd:
+                num, den = xn, xd
+        if num == 2 * den:
+            return pieces
+        p, q = num, den
 
 
-def nu_function(C: BifilteredComplex, grading: int, *, window_pad: int = 0,
-                coset_guard: int = COSET_GUARD) -> PLFunction:
+def nu_function(C: BifilteredComplex, grading: int, *,
+                window_pad: int = 0) -> PLFunction:
     """Exact minimal deg_t level of the rank-1 tower class, as a PL function."""
     if C.mode is not FiltrationMode.MIN_MAX:
         raise ValueError("nu_function needs a folded (MIN_MAX) complex")
-    pieces = _upsilon_pieces(C, grading, window_pad=window_pad,
-                             coset_guard=coset_guard)
+    pieces = _upsilon_pieces(C, grading, window_pad=window_pad)
     return PLFunction.from_pieces(pieces).scale(Fraction(-1, 2))
 
 

@@ -327,8 +327,9 @@ def check_t37_goldens() -> CheckResult:
         return _bad(name, f"lower is {lower.breakpoints}")
     if upper(Fraction(1, 2)) != -3 or lower(Fraction(1, 2)) != -4:
         return _bad(name, "values at t=1/2 are off")
-    if v0_invariants(C) != (1, 1) and v0_invariants(C) != (Fraction(2), Fraction(2)):
-        return _bad(name, f"V0 pair is {v0_invariants(C)}")
+    v0 = v0_invariants(C)
+    if v0 != (2, 2):
+        return _bad(name, f"V0 pair is {v0}")
     return _good(name, "upper = -6t then -4, lower = -4, V0 = (2, 2)")
 
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the production algorithms: homology by exhaustive
 subset enumeration, nu by direct minimisation over the whole representative
-coset at fixed t, envelopes by the candidate-midpoint scan, and torus-knot
-steps from the semigroup gap description of the Alexander polynomial.
+coset at fixed t, envelopes by the candidate-midpoint scan, torus-knot
+steps from the semigroup gap description of the Alexander polynomial, and
+classic Upsilon of L-space knots from the corners of the staircase.
 """
 
 from __future__ import annotations
@@ -124,3 +125,31 @@ def semigroup_torus_steps(p, q):
         coeffs[g] = coeffs.get(g, 0) - 1
     exps = sorted((e for e, c in coeffs.items() if c), reverse=True)
     return tuple(exps[i] - exps[i + 1] for i in range(len(exps) - 1))
+
+
+def lspace_corners(steps):
+    """(alg, Alex) corners of the positive staircase with these steps.
+
+    The walk starts at (0, sum of the down steps) and alternates a step
+    right with a step down; a corner follows each down step.
+    """
+    assert len(steps) % 2 == 0
+    alg, alex = 0, sum(steps[1::2])
+    corners = [(alg, alex)]
+    for right, down in zip(steps[::2], steps[1::2]):
+        alg += right
+        alex -= down
+        corners.append((alg, alex))
+    return corners
+
+
+def oss_classic_value(steps, t):
+    """Classic Upsilon at t of the L-space knot with this positive staircase.
+
+    Ozsvath-Stipsicz-Szabo (arXiv 1407.1795): -2 times the least
+    (t/2) * Alex + (1 - t/2) * alg over the corners.  As a function of t it
+    is a maximum of lines, hence convex.
+    """
+    t = Fraction(t)
+    return -2 * min(t / 2 * alex + (1 - t / 2) * alg
+                    for alg, alex in lspace_corners(steps))

@@ -200,3 +200,60 @@ def test_unknown_invariant_rejected(capsys):
                            "--invariant", "tau")
     assert code == EXIT_PARSE
     assert "unknown invariant" in err
+
+
+@pytest.mark.parametrize("knot,mirror_knot,stem,mirror_stem", [
+    ("torus:3,7", "-torus:3,7", "torus_3_7", "mtorus_3_7"),
+    ("steps:+:2,2", "steps:-:2,2", "steps___2_2", "steps_m_2_2"),
+])
+@pytest.mark.parametrize("output", ["csv", "svg"])
+def test_compute_mirror_gets_own_files(capsys, tmp_path, knot, mirror_knot, stem,
+                                       mirror_stem, output):
+    code, out, _ = run_cli(capsys, "compute", "--knot", knot, "--knot", mirror_knot,
+                           "--invariant", "classic", "--output", output,
+                           "--output-dir", str(tmp_path))
+    assert code == EXIT_OK
+    suffix = ".classic.csv" if output == "csv" else ".svg"
+    paths = [tmp_path / f"{stem}{suffix}", tmp_path / f"{mirror_stem}{suffix}"]
+    assert out.splitlines() == [f"wrote {p}" for p in paths]
+    assert paths[0].read_text() != paths[1].read_text()
+    for spec, path in zip((knot, mirror_knot), paths):
+        code, _, _ = run_cli(capsys, "compute", "--knot", spec, "--invariant", "classic",
+                             "--output", output, "--output-dir", str(tmp_path / spec))
+        assert code == EXIT_OK
+        assert (tmp_path / spec / path.name).read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("knots", [("torus:3,7", "torus:3,7"),
+                                   ("file:a-b.json", "file:amb.json")])
+def test_compute_same_stem_exit(capsys, tmp_path, knots):
+    argv = ["compute", "--invariant", "classic", "--output", "csv",
+            "--output-dir", str(tmp_path)]
+    for knot in knots:
+        argv += ["--knot", knot]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert "same csv file stem" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field", ["generators", "differential", "involution"])
+def test_compute_file_non_list_field_exit(capsys, tmp_path, field):
+    doc = {"mode": "ALG_ALEX", "generators": [{"id": "u", "gr": 0, "f1": 0, "f2": 0}],
+           "differential": [], "involution": [{"from": "u", "to": "u"}]}
+    doc[field] = 5
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "compute", "--knot", f"file:{path}",
+                           "--invariant", "classic,upper")
+    assert code == EXIT_PARSE
+    assert f"{field} must be a list" in err
+
+
+def test_compute_large_coset_torus(capsys):
+    # T(5,27): its classic representative coset has dimension 32; V0 is the
+    # least max(alg, Alex) over the corners of its staircase
+    code, out, _ = run_cli(capsys, "compute", "--knot", "torus:5,27")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 6
+    assert "V̅0 = 16, V̲0 = 16" in out

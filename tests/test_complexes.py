@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -215,3 +216,13 @@ def test_json_bad_values_rejected():
         loads_complex('{"mode": "ALG_ALEX", "generators": [{"id": "x", "gr": 0.5, "f1": 0, "f2": 0}], "differential": []}')
     with pytest.raises(ValueError, match="invalid JSON"):
         loads_complex("{nope")
+
+
+@pytest.mark.parametrize("field", ["generators", "differential", "involution"])
+def test_json_non_list_fields_rejected(field):
+    doc = {"mode": "ALG_ALEX", "generators": [{"id": "u", "gr": 0, "f1": 0, "f2": 0}],
+           "differential": [], "involution": [{"from": "u", "to": "u"}]}
+    for bad in (5, None, "u", {"from": "u", "to": "u"}):
+        doc[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be a list"):
+            loads_complex(json.dumps(doc))

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from involutive_upsilon.plfunction import (PLFunction, line_min_envelope,
-                                           merge_pieces)
+from involutive_upsilon.plfunction import PLFunction, merge_pieces
 from involutive_upsilon.render import format_plfunction, plfunction_csv
 
 from oracles import envelope_by_midpoints
@@ -55,30 +54,14 @@ def test_pointwise_max_min():
     assert bot.breakpoints == ((0, -2), (1, -2), (2, -4))
 
 
-def test_line_min_envelope_simple():
-    pieces = line_min_envelope([(0, 2), (-3, 6), (1, 0)])  # 2, 6-3t, t
-    f = PLFunction.from_pieces(pieces)
-    # min(2, 6-3t, t) follows t then 6-3t, crossing at 3/2
-    assert f == PLFunction(((0, 0), (Fraction(3, 2), Fraction(3, 2)), (2, 0)))
-
-
-def test_envelopes_match_midpoint_oracle():
-    rng = random.Random(20260808)
-    for _ in range(300):
-        lines = [(rng.randrange(-6, 7), rng.randrange(-8, 9))
-                 for _ in range(rng.randrange(1, 7))]
-        lower = PLFunction.from_pieces(line_min_envelope(lines))
-        assert lower == PLFunction(tuple(envelope_by_midpoints(lines, upper=False)))
-
-
 def test_merge_pieces_matches_pointwise():
     rng = random.Random(123)
     grid = [Fraction(j, 8) for j in range(17)]
     for _ in range(200):
         l1 = [(rng.randrange(-5, 6), rng.randrange(-6, 7)) for _ in range(3)]
         l2 = [(rng.randrange(-5, 6), rng.randrange(-6, 7)) for _ in range(3)]
-        f1 = line_min_envelope(l1)
-        f2 = line_min_envelope(l2)
+        f1 = PLFunction(tuple(envelope_by_midpoints(l1, upper=False))).pieces()
+        f2 = PLFunction(tuple(envelope_by_midpoints(l2, upper=False))).pieces()
         top = PLFunction.from_pieces(merge_pieces(f1, f2, True))
         bot = PLFunction.from_pieces(merge_pieces(f1, f2, False))
         pf1, pf2 = PLFunction.from_pieces(f1), PLFunction.from_pieces(f2)

@@ -4,18 +4,18 @@ from fractions import Fraction
 import pytest
 
 from involutive_upsilon import (BifilteredComplex, Chain, ChainMap,
-                                CosetSizeError, FiltrationMode, Generator,
-                                PLFunction, Sign, StaircaseSpec, UpsilonVariant,
-                                chain_deg_t, deg_t, direct_sum, fold,
-                                homology_basis, involutive_cone, mirror,
-                                nu_function, slope_bound_check,
-                                staircase_from_steps, staircase_involution,
-                                steps_from_torus_knot, tower_witness,
+                                FiltrationMode, Generator, PLFunction, Sign,
+                                StaircaseSpec, UpsilonVariant, chain_deg_t,
+                                deg_t, direct_sum, fold, homology_basis,
+                                involutive_cone, mirror, nu_function,
+                                slope_bound_check, staircase_from_steps,
+                                staircase_involution, tower_witness,
                                 unknot_complex, upsilon, upsilon_pair_from_cone,
                                 v0_invariants)
 from involutive_upsilon.upsilon import filtration_width
+from involutive_upsilon.verify import symmetric_specs
 
-from oracles import brute_nu_value
+from oracles import brute_nu_value, oss_classic_value, semigroup_torus_steps
 
 GRID = [Fraction(j, 12) for j in range(25)]
 
@@ -133,10 +133,47 @@ def test_nu_window_padding_no_effect(t37):
         assert nu_function(cone, grading) == nu_function(cone, grading, window_pad=1)
 
 
-def test_coset_guard():
-    cone = involutive_cone(staircase_from_steps(steps_from_torus_knot(3, 7)))
-    with pytest.raises(CosetSizeError, match="guard"):
-        nu_function(cone, 0, coset_guard=1)
+def breakpoints_and_midpoints(f):
+    ts = [t for t, _ in f.breakpoints]
+    return ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+
+
+@pytest.mark.parametrize("steps", list(symmetric_specs(5)),
+                         ids=lambda s: ",".join(map(str, s)))
+@pytest.mark.parametrize("sign", list(Sign), ids=lambda s: s.name.lower())
+def test_nu_matches_brute_oracle_on_corpus(steps, sign):
+    C = staircase_from_steps(StaircaseSpec(steps, sign))
+    cone = involutive_cone(C)
+    for X, grading in ((fold(C), 0), (cone, 0), (cone, 1)):
+        f = nu_function(X, grading)
+        for t in breakpoints_and_midpoints(f):
+            assert f(t) == brute_nu_value(X, grading, t)
+
+
+@pytest.mark.parametrize("steps", [
+    pytest.param(semigroup_torus_steps(5, 27), id="T(5,27)"),
+    pytest.param(semigroup_torus_steps(7, 40), id="T(7,40)"),
+    pytest.param((1, 2) * 60 + (2, 1) * 60, id="[1,2]*60+[2,1]*60"),
+])
+def test_large_coset_knots(steps):
+    # classic and folded cosets of dimension 32, 68 and 120, cone cosets of
+    # 16, 34 and 60: far past what enumerating 2^dim elements can visit
+    C = staircase_from_steps(StaircaseSpec(steps, Sign.POSITIVE))
+    f = {w: upsilon(C, w) for w in UpsilonVariant}
+    classic = f[UpsilonVariant.CLASSIC]
+    # the oracle is convex, so agreeing with a PL function at its breakpoints
+    # and piece midpoints means agreeing everywhere
+    for t in breakpoints_and_midpoints(classic):
+        assert classic(t) == oss_classic_value(steps, t)
+    low, mid, up = (f[UpsilonVariant.LOWER], f[UpsilonVariant.FOLDED],
+                    f[UpsilonVariant.UPPER])
+    for t in {t for g in (low, mid, up) for t, _ in g.breakpoints}:
+        assert low(t) <= mid(t) <= up(t)
+    v_up, v_low = v0_invariants(C)
+    assert (v_up, v_low) == (-up(2) / 2, -low(2) / 2)
+    assert v_up.denominator == v_low.denominator == 1
+    for w in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
+        assert slope_bound_check(f[w], C)
 
 
 def test_upsilon_t37_goldens(t37):
