@@ -3,8 +3,9 @@
 `reduce_bifiltered` repeatedly cancels differential entries between
 generators of identical bidegree; the result is reduced (every surviving
 entry strictly drops the bidegree somewhere), homology-preserving, and
-bifiltered homotopy equivalent to the input.  The forward change-of-basis
-map is recorded as a certificate.
+bifiltered homotopy equivalent to the input.  Cancellable entries wait in
+a heap that each elimination feeds with the entries it creates; the forward
+change-of-basis map `kept_of` is replayed from the step log on request.
 
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
@@ -15,6 +16,8 @@ half-length k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
@@ -24,55 +27,63 @@ from .staircase import Sign, StaircaseSpec, classify, staircase_complex, stairca
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """The reduced complex and its step log: (x, y, rho) cancelled the entry
+    x -> y, where rho was the rest of the boundary of x at that moment."""
+
+    source: BifilteredComplex
     reduced: BifilteredComplex
-    kept_of: Mapping[str, Chain]
-    eliminated_pairs: tuple
+    steps: tuple
 
+    @property
+    def eliminated_pairs(self) -> tuple:
+        return tuple((x, y) for x, y, _ in self.steps)
 
-def _cancellable(gens, cols):
-    out = []
-    for x, targets in cols.items():
-        gx = gens[x]
-        for y in targets:
-            gy = gens[y]
-            if gx.f1 == gy.f1 and gx.f2 == gy.f2:
-                out.append((x, y))
-    return out
+    @cached_property
+    def kept_of(self) -> Mapping[str, Chain]:
+        """Image of each source generator in `reduced`, replayed backwards:
+        a cancelled x maps to 0 and a cancelled y to the image of its rho."""
+        image = {g.id: frozenset((g.id,)) for g in self.reduced.generators}
+        for x, y, rho in reversed(self.steps):
+            image[x] = frozenset()
+            image[y] = frozenset()
+            for r in rho:
+                image[y] ^= image[r]
+        return {g.id: Chain(frozenset((0, t) for t in image[g.id]))
+                for g in self.source.generators}
 
 
 def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
     """Cancel equal-bidegree differential entries until none remain.
 
-    The pair to cancel is chosen by a deterministic (grading, bidegree, id)
-    scan unless `rng` is given, in which case it is drawn at random; the
-    homology and all downstream invariants are order-independent.
+    The entry to cancel is the least by (grading, bidegree, generator
+    order), or by a hash salted from `rng` when it is given: a random order
+    that is the same in every process.  The homology and all downstream
+    invariants are order-independent.
     """
     gens = {g.id: g for g in C.generators}
-    order = {g.id: i for i, g in enumerate(C.generators)}
+    order = C.index
+    salt = None if rng is None else rng.getrandbits(64)
     cols: dict[str, set] = {g.id: set(C.targets_of(g.id)) for g in C.generators}
     rows: dict[str, set] = {g.id: set() for g in C.generators}
+    heap: list = []
+
+    def push(x, y):
+        gx, gy = gens[x], gens[y]
+        if gx.f1 == gy.f1 and gx.f2 == gy.f2:
+            i, j = order[x], order[y]
+            rank = (gx.grading, gx.f1, gx.f2, i, j) if salt is None else hash((salt, i, j))
+            heappush(heap, (rank, x, y))
+
     for x, targets in cols.items():
         for y in targets:
             rows[y].add(x)
-    kept: dict[str, set] = {g.id: {g.id} for g in C.generators}
-    pairs = []
-
-    def key(pair):
-        x, y = pair
-        g = gens[x]
-        return (g.grading, g.f1, g.f2, order[x], order[y])
-
-    while True:
-        candidates = _cancellable(gens, cols)
-        if not candidates:
-            break
-        if rng is None:
-            x, y = min(candidates, key=key)
-        else:
-            candidates.sort(key=key)
-            x, y = candidates[rng.randrange(len(candidates))]
+            push(x, y)
+    steps = []
+    while heap:
+        _, x, y = heappop(heap)
+        if x not in cols or y not in cols[x]:
+            continue  # a stale entry: x is gone or the entry was cancelled
         dx = frozenset(cols[x])
-        rho = dx - {y}
         # Gaussian elimination: every other source of y absorbs the boundary of x.
         for z in list(rows[y]):
             if z == x:
@@ -84,31 +95,20 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
                 else:
                     cols[z].add(t)
                     rows[t].add(z)
+                    push(z, t)
         for gid in (x, y):
             for t in cols[gid]:
-                if t in rows:
-                    rows[t].discard(gid)
+                rows[t].discard(gid)
             for sgid in rows[gid]:
-                if sgid in cols:
-                    cols[sgid].discard(gid)
+                cols[sgid].discard(gid)
         for gid in (x, y):
             del cols[gid], rows[gid], gens[gid]
-        for gid, chain in kept.items():
-            if not (chain & {x, y}):
-                continue
-            hit_y = y in chain
-            chain.discard(x)
-            chain.discard(y)
-            if hit_y:
-                chain ^= rho
-        pairs.append((x, y))
+        steps.append((x, y, dx - {y}))
 
     survivors = tuple(g for g in C.generators if g.id in gens)
     arrows = frozenset((x, y) for x, ts in cols.items() for y in ts)
     reduced = BifilteredComplex(survivors, arrows, C.mode)
-    kept_of = {gid: Chain(frozenset((0, t) for t in chain))
-               for gid, chain in kept.items()}
-    return ReductionResult(reduced, kept_of, tuple(pairs))
+    return ReductionResult(C, reduced, tuple(steps))
 
 
 def is_reduced(C: BifilteredComplex) -> bool:

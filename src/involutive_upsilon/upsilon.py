@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import gf2
 from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
-                        homology_data, u_window)
+                        _mask_to_chain, homology_data, u_window)
 from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
 from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
@@ -73,15 +73,11 @@ def _strict_tower(C: BifilteredComplex, grading: int):
     return win, pos, u_window(C, grading + 1), reps[0], boundaries
 
 
-def _chain(mask: int, win) -> Chain:
-    return Chain(frozenset(win[i] for i in range(mask.bit_length()) if mask >> i & 1))
-
-
 def tower_witness(C: BifilteredComplex, grading: int) -> TowerClassWitness:
     """Base cycle and boundary basis of the rank-1 tower in one grading."""
     win, _, _, base, boundaries = _strict_tower(C, grading)
-    return TowerClassWitness(grading, _chain(base, win),
-                             tuple(_chain(b, win) for b in boundaries))
+    return TowerClassWitness(grading, _mask_to_chain(base, win),
+                             tuple(_mask_to_chain(b, win) for b in boundaries))
 
 
 def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0):

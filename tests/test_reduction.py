@@ -1,14 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
 from involutive_upsilon import (BifilteredComplex, Chain, FiltrationMode,
                                 Generator, Sign, StaircaseSpec, boundary,
-                                closed_form_cone_reduction, essential_signature,
-                                fold, fold_map, homology_rank, mapping_cone,
+                                closed_form_cone_reduction, dumps_complex,
+                                essential_signature, fold, fold_map,
+                                homology_rank, involutive_cone, mapping_cone,
                                 materialize_closed_form, reduce_bifiltered,
                                 staircase_from_steps, staircase_involution,
-                                validate)
+                                steps_from_torus_knot, validate)
 from involutive_upsilon.reduction import (connected_components,
                                           generator_signature, is_reduced,
                                           strip_acyclic, subcomplex)
@@ -62,17 +64,117 @@ def test_reduction_preserves_homology():
             assert homology_rank(red, g) == homology_rank(cone, g)
 
 
+def assert_kept_of_is_a_chain_map(C, result):
+    """kept_of commutes with the differentials and fixes every survivor."""
+    red = result.reduced
+    for g in red.generators:
+        assert result.kept_of[g.id] == Chain.of(g.id), g.id
+    for g in C.generators:
+        lhs = Chain()
+        for t in C.targets_of(g.id):
+            lhs ^= result.kept_of[t]
+        assert lhs == boundary(red, result.kept_of[g.id]), g.id
+
+
 def test_kept_of_is_a_chain_map():
-    for steps in ((1, 1), (1, 1, 1, 1), (1, 2, 1, 2, 2, 1, 2, 1)):
+    for steps in ((1, 1), (1, 1, 1, 1), (1, 2, 1, 2, 2, 1, 2, 1),
+                  (1, 2) * 50 + (2, 1) * 50):  # the last cone has 402 generators
         cone = cone_of(steps)
-        result = reduce_bifiltered(cone)
+        assert_kept_of_is_a_chain_map(cone, reduce_bifiltered(cone))
+
+
+# The deterministic elimination order pinned down: sha256 of the reduced
+# cone's JSON, the number of eliminated pairs, and the first and last pair.
+REDUCTION_GOLDENS = [
+    pytest.param(steps_from_torus_knot(3, 7),
+                 "ec6ca8c76b5125c1159a3970062ccf38110525e414dc6dcb021803f89c7d924d",
+                 4, ("A.v0", "B.v0"), ("A.v3", "B.v3"), id="T(3,7)"),
+    pytest.param(steps_from_torus_knot(5, 6),
+                 "263a74615510b9969a88e0943bff444ebc32602e755148db5ec2c01b302e8fb5",
+                 4, ("A.v0", "B.v0"), ("A.v3", "B.v3"), id="T(5,6)"),
+    pytest.param(steps_from_torus_knot(11, 60),
+                 "9ed2cbbf23f18cca2e072b2f47ab7d260fba11bddd675526e87c7b438a15bbe0",
+                 98, ("A.v0", "B.v0"), ("A.v97", "B.v97"), id="T(11,60)"),
+    pytest.param(StaircaseSpec((1, 2) * 20 + (2, 1) * 20, Sign.POSITIVE),
+                 "4b3d3de2caebaaa8f85896d39ed80b4de10362b7638f866b62f04d5c35068c4e",
+                 40, ("A.v0", "B.v0"), ("A.v39", "B.v39"), id="[1,2]*20+[2,1]*20"),
+    pytest.param(StaircaseSpec((1, 2, 2, 1), Sign.NEGATIVE),
+                 "4115703755bf16f55e61646c459b0f621e3ffd6a2ebff3649bea3918e254d1b4",
+                 2, ("A.v1", "B.v1"), ("A.v0", "B.v0"), id="steps:-:1,2,2,1"),
+]
+
+
+@pytest.mark.parametrize("spec,sha,n_pairs,first,last", REDUCTION_GOLDENS)
+def test_reduction_goldens(spec, sha, n_pairs, first, last):
+    C = staircase_from_steps(spec)
+    pairs = reduce_bifiltered(cone_of(spec.steps, spec.sign)).eliminated_pairs
+    assert (len(pairs), pairs[0], pairs[-1]) == (n_pairs, first, last)
+    assert hashlib.sha256(dumps_complex(involutive_cone(C)).encode()).hexdigest() == sha
+
+
+def _random_box(rng: random.Random, name: str, anchor: Generator):
+    """An acyclic MIN_MAX summand next to `anchor`: an arrow or a square.
+
+    Sharing bidegrees with the anchor lets the change of basis mix the box
+    with the cone, so that cancellations create new equal-bidegree arrows.
+    """
+    gr = anchor.grading + rng.randrange(2)
+    p, q = anchor.f1, anchor.f2
+    if rng.random() < 0.5:
+        x, y = f"{name}.x", f"{name}.y"
+        d = rng.randrange(2)
+        return [Generator(x, gr, p + d, q + d), Generator(y, gr - 1, p, q)], {(x, y)}
+    a, b, c, d = (f"{name}.{s}" for s in "abcd")
+    gens = [Generator(a, gr + 1, p + 1, q + 1), Generator(b, gr, p, q + 1),
+            Generator(c, gr, p + 1, q + 1), Generator(d, gr - 1, p, q)]
+    return gens, {(a, b), (a, c), (b, d), (c, d)}
+
+
+def _change_basis(C: BifilteredComplex, rng: random.Random, moves: int):
+    """C in a random filtered basis: `moves` replacements g <- g + h.
+
+    Each h has g's grading and a bidegree at most g's, so every move is a
+    filtered isomorphism with a filtered inverse (itself).
+    """
+    cols = {g.id: set(C.targets_of(g.id)) for g in C.generators}
+    for _ in range(moves):
+        g = rng.choice(C.generators)
+        below = [h.id for h in C.generators if h.id != g.id and h.grading == g.grading
+                 and h.f1 <= g.f1 and h.f2 <= g.f2]
+        if not below:
+            continue
+        h = rng.choice(below)
+        cols[g.id] ^= cols[h]  # d(g + h) = dg + dh
+        for col in cols.values():  # old g is new g + new h
+            if g.id in col:
+                col ^= {h}
+    arrows = {(x, y) for x, ts in cols.items() for y in ts}
+    return BifilteredComplex(C.generators, arrows, C.mode)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduction_of_perturbed_cones(seed):
+    """Staircase cone plus acyclic boxes in a random basis: not a staircase."""
+    rng = random.Random(seed)
+    steps = rng.choice(list(symmetric_specs(4)))
+    cone = cone_of(steps, rng.choice(list(Sign)))
+    gens, arrows = list(cone.generators), set(cone.arrows)
+    for i in range(rng.randint(1, 3)):
+        box_gens, box_arrows = _random_box(rng, f"box{i}", rng.choice(cone.generators))
+        gens += box_gens
+        arrows |= box_arrows
+    C = _change_basis(BifilteredComplex(gens, arrows, cone.mode), rng, 3 * len(gens))
+    assert validate(C).ok
+    lo, hi = C.grading_span()
+    ranks = [homology_rank(C, g) for g in range(lo, hi + 1)]
+    assert ranks == [homology_rank(cone, g) for g in range(lo, hi + 1)]
+    want = upsilon_pair_from_cone(reduce_bifiltered(cone).reduced)
+    for result in (reduce_bifiltered(C), reduce_bifiltered(C, rng=rng)):
         red = result.reduced
-        for g in cone.generators:
-            lhs = Chain()
-            for t in cone.targets_of(g.id):
-                lhs ^= result.kept_of[t]
-            rhs = boundary(red, result.kept_of[g.id])
-            assert lhs == rhs, (steps, g.id)
+        assert is_reduced(red)
+        assert [homology_rank(red, g) for g in range(lo, hi + 1)] == ranks
+        assert_kept_of_is_a_chain_map(C, result)
+        assert upsilon_pair_from_cone(red) == want
 
 
 def test_reduction_order_independence():

@@ -238,6 +238,16 @@ def test_classic_symmetry(t37):
         assert f(t) == f(2 - t)
 
 
+def test_classic_mirror_negates():
+    """Υ_{−K} = −Υ_K, for the mirrored complex and for the negative staircase."""
+    for steps in symmetric_specs(6):
+        C = staircase_from_steps(StaircaseSpec(steps, Sign.POSITIVE))
+        negated = upsilon(C, UpsilonVariant.CLASSIC).scale(-1)
+        assert upsilon(mirror(C), UpsilonVariant.CLASSIC) == negated, steps
+        neg = staircase_from_steps(StaircaseSpec(steps, Sign.NEGATIVE))
+        assert upsilon(neg, UpsilonVariant.CLASSIC) == negated, steps
+
+
 def test_v0_goldens(t37, t23):
     assert v0_invariants(t37) == (2, 2)
     assert v0_invariants(t23) == (1, 1)
