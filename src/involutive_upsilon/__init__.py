@@ -10,8 +10,7 @@ arithmetic.
 
 from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
                         ValidationReport, boundary, direct_sum, dumps_complex,
-                        homology_basis, homology_rank, loads_complex, shift,
-                        validate)
+                        homology_rank, loads_complex, validate)
 from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
 from .plfunction import PLFunction
 from .reduction import (ClosedFormOutput, ReductionResult,
@@ -20,9 +19,9 @@ from .reduction import (ClosedFormOutput, ReductionResult,
 from .staircase import (Pointing, Sign, StaircaseClass, StaircaseSpec, classify,
                         mirror, staircase_from_steps, steps_from_torus_knot,
                         unknot_complex)
-from .upsilon import (UpsilonVariant, chain_deg_t, deg_t, involutive_cone,
-                      nu_function, slope_bound_check, tower_witness, upsilon,
-                      upsilon_pair_from_cone, v0_invariants)
+from .upsilon import (UpsilonVariant, involutive_cone, nu_function,
+                      slope_bound_check, upsilon, upsilon_pair_from_cone,
+                      v0_invariants)
 from .verify import run_verify
 
 __version__ = "0.1.0"
@@ -31,13 +30,13 @@ __all__ = [
     "BifilteredComplex", "Chain", "ChainMap", "ClosedFormOutput",
     "FiltrationMode", "Generator", "PLFunction", "Pointing",
     "ReductionResult", "Sign", "StaircaseClass", "StaircaseSpec",
-    "UpsilonVariant", "ValidationReport", "boundary", "chain_deg_t",
-    "classify", "closed_form_cone_reduction", "deg_t", "direct_sum",
-    "dumps_complex", "essential_signature", "fold", "fold_map",
-    "homology_basis", "homology_rank", "involutive_cone", "loads_complex",
-    "mapping_cone", "materialize_closed_form", "mirror", "nu_function",
-    "reduce_bifiltered", "run_verify", "shift", "slope_bound_check",
-    "staircase_from_steps", "staircase_involution", "steps_from_torus_knot",
-    "strip_acyclic", "tower_witness", "unknot_complex", "upsilon",
-    "upsilon_pair_from_cone", "v0_invariants", "validate",
+    "UpsilonVariant", "ValidationReport", "boundary", "classify",
+    "closed_form_cone_reduction", "direct_sum", "dumps_complex",
+    "essential_signature", "fold", "fold_map", "homology_rank",
+    "involutive_cone", "loads_complex", "mapping_cone",
+    "materialize_closed_form", "mirror", "nu_function", "reduce_bifiltered",
+    "run_verify", "slope_bound_check", "staircase_from_steps",
+    "staircase_involution", "steps_from_torus_knot", "strip_acyclic",
+    "unknot_complex", "upsilon", "upsilon_pair_from_cone", "v0_invariants",
+    "validate",
 ]

@@ -301,6 +301,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--max-steps", args.max_steps),
+                        ("--grid-denominator", args.grid_denominator)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_PARSE
     results = run_verify(max_steps=args.max_steps,
                          grid_denominator=args.grid_denominator, seed=args.seed)
     ok = True

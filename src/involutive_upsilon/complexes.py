@@ -4,9 +4,9 @@ A complex is stored as its U^0 slice: finitely many generators, each
 carrying a homological grading and a filtration bidegree, plus an F2
 differential with no U powers.  The full complex is the span of all
 U-translates of the generators; U lowers the grading by 2 and both
-filtration levels by 1.  Translates are never materialized eagerly:
-`shift` produces them on demand and `homology_basis` works inside the
-finite window of U-powers that can contribute to a fixed grading.
+filtration levels by 1.  Translates are never materialized as generators:
+a `Chain` names them as (u_power, id) terms, and `homology_data` works
+inside the finite window of translates that live in one grading.
 
 The bidegree (f1, f2) is read as (alg, Alex) in ALG_ALEX mode and as
 (Min, Max) in MIN_MAX mode; the complex records which reading is active.
@@ -61,9 +61,6 @@ class Chain:
 
     def u_shift(self, k: int) -> "Chain":
         return Chain(frozenset((u + k, g) for u, g in self.terms))
-
-    def sorted_terms(self) -> list[tuple[int, str]]:
-        return sorted(self.terms)
 
 
 @dataclass(frozen=True)
@@ -202,11 +199,6 @@ def _window_columns(C, source_window, target_pos):
     return cols
 
 
-def _mask_to_chain(mask: int, window) -> Chain:
-    terms = {window[i] for i in range(mask.bit_length()) if mask >> i & 1}
-    return Chain(frozenset(terms))
-
-
 def homology_data(C: BifilteredComplex, grading: int):
     """Cycle reps, boundary basis and window for one grading (as masks)."""
     win = u_window(C, grading)
@@ -218,12 +210,6 @@ def homology_data(C: BifilteredComplex, grading: int):
     boundaries = gf2.image_basis(_window_columns(C, win_up, pos))
     reps = gf2.quotient_representatives(cycles, boundaries)
     return win, reps, boundaries
-
-
-def homology_basis(C: BifilteredComplex, grading: int) -> list[Chain]:
-    """Representatives of a basis of the homology of the localized complex."""
-    win, reps, _ = homology_data(C, grading)
-    return [_mask_to_chain(m, win) for m in reps]
 
 
 def homology_rank(C: BifilteredComplex, grading: int) -> int:
@@ -246,13 +232,6 @@ def direct_sum(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComple
     arrows = {(r1(x), r1(y)) for x, y in C1.arrows}
     arrows |= {(r2(x), r2(y)) for x, y in C2.arrows}
     return BifilteredComplex(tuple(gens), frozenset(arrows), C1.mode)
-
-
-def shift(C: BifilteredComplex, dgrading: int, df1: int, df2: int) -> BifilteredComplex:
-    """Shift every generator's grading and filtration levels."""
-    gens = tuple(Generator(g.id, g.grading + dgrading, g.f1 + df1, g.f2 + df2)
-                 for g in C.generators)
-    return BifilteredComplex(gens, C.arrows, C.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +329,10 @@ def dumps_complex(C: BifilteredComplex, involution=None) -> str:
 
 
 def loads_complex(text: str):
+    """Parse a complex file; malformed input of any kind raises ValueError."""
     try:
-        d = json.loads(text)
+        return complex_from_dict(json.loads(text))
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON: {e}") from None
-    return complex_from_dict(d)
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None

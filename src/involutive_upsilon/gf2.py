@@ -1,8 +1,9 @@
 """F2 linear algebra on integer bitmasks.
 
-Vectors are plain Python ints: bit i is coordinate i.  Everything in this
-package stays well under a few hundred coordinates, so dense bitmask rows
-beat any sparse representation and keep the arithmetic exact.
+Vectors are plain Python ints: bit i is coordinate i, and a row operation
+is one big-integer XOR.  Windows of long staircase cones reach a few
+thousand coordinates; dense bitmask rows stay exact there and cost one
+machine word per 64 coordinates.
 """
 
 from __future__ import annotations
@@ -32,20 +33,6 @@ class Eliminator:
         if r:
             self.pivots[r.bit_length() - 1] = r
         return r
-
-    def contains(self, v: int) -> bool:
-        return self.residual(v) == 0
-
-    def __len__(self) -> int:
-        return len(self.pivots)
-
-
-def rank(vectors) -> int:
-    return len(Eliminator(vectors))
-
-
-def in_span(vectors, target: int) -> bool:
-    return Eliminator(vectors).contains(target)
 
 
 def image_basis(columns) -> list[int]:

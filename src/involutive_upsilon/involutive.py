@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .complexes import BifilteredComplex, Chain, FiltrationMode, Generator
+from .complexes import BifilteredComplex, FiltrationMode, Generator
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,6 @@ class ChainMap:
 
     def image_of(self, gid: str) -> frozenset:
         return self._images[gid]
-
-    def apply(self, z: Chain) -> Chain:
-        acc: set = set()
-        for u, gid in z.terms:
-            for y in self.image_of(gid):
-                acc ^= {(u, y)}
-        return Chain(frozenset(acc))
 
 
 def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:

@@ -1,9 +1,9 @@
 """Exact piecewise-linear functions on [0, 2] with rational breakpoints.
 
-`merge_pieces` below works on "piece lists": a piece list covers [0, 2]
-with entries (t_start, (slope, intercept)), starts strictly increasing
-and the first at 0.  Line coefficients are exact numbers
-(ints or Fractions), so every comparison and crossing is exact.
+A function converts to and from a "piece list" (`pieces`, `from_pieces`):
+entries (t_start, (slope, intercept)) that cover [0, 2], starts strictly
+increasing and the first at 0.  Line coefficients are exact numbers
+(ints or Fractions), so every comparison is exact.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from fractions import Fraction
 def _val(line, t):
     s, b = line
     return b + s * t
-
-
-def _cross(l1, l2) -> Fraction:
-    return Fraction(l2[1] - l1[1]) / Fraction(l1[0] - l2[0])
 
 
 @dataclass(frozen=True)
@@ -90,48 +86,3 @@ class PLFunction:
     def scale(self, c) -> "PLFunction":
         c = Fraction(c)
         return PLFunction(tuple((t, c * v) for t, v in self.breakpoints))
-
-    def pointwise_max(self, other: "PLFunction") -> "PLFunction":
-        return PLFunction.from_pieces(merge_pieces(self.pieces(), other.pieces(), True))
-
-    def pointwise_min(self, other: "PLFunction") -> "PLFunction":
-        return PLFunction.from_pieces(merge_pieces(self.pieces(), other.pieces(), False))
-
-
-def merge_pieces(p1, p2, take_max: bool):
-    """Pointwise max (or min) of two piece lists over [0, 2]."""
-    bounds = sorted({t for t, _ in p1} | {t for t, _ in p2} | {Fraction(0)})
-    bounds.append(Fraction(2))
-    out = []
-
-    def emit(t, line):
-        if out and out[-1][1] == line:
-            return
-        out.append((t, line))
-
-    i1 = i2 = 0
-    for t0, t1 in zip(bounds, bounds[1:]):
-        if t0 >= t1:
-            continue
-        while i1 + 1 < len(p1) and p1[i1 + 1][0] <= t0:
-            i1 += 1
-        while i2 + 1 < len(p2) and p2[i2 + 1][0] <= t0:
-            i2 += 1
-        la, lb = p1[i1][1], p2[i2][1]
-        if la == lb:
-            emit(t0, la)
-            continue
-        d0 = _val(la, t0) - _val(lb, t0)
-        ds = la[0] - lb[0]
-        if d0 == 0:
-            emit(t0, la if (ds > 0) == take_max else lb)
-            continue
-        lead, trail = (la, lb) if (d0 > 0) == take_max else (lb, la)
-        if ds != 0:
-            tx = _cross(la, lb)
-            if t0 < tx < t1:
-                emit(t0, lead)
-                emit(tx, trail)
-                continue
-        emit(t0, lead)
-    return out

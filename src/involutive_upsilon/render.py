@@ -71,6 +71,11 @@ def _decimal(x: Fraction, digits: int = 3) -> str:
     text = f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
     return text or "0"
 
+
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
@@ -96,7 +101,7 @@ def render_svg(title: str, curves: dict) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{margin}" y="{margin - 16}" font-family="sans-serif" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">{_xml_text(title)}</text>',
     ]
     axis = 'stroke="#444" stroke-width="1"'
     out.append(f'<line x1="{margin}" y1="{y_of(lo)}" x2="{margin}" y2="{y_of(hi)}" {axis}/>')

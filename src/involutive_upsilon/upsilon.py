@@ -15,13 +15,11 @@ grading-1 towers of the involutive mapping cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import gf2
-from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
-                        _mask_to_chain, homology_data, u_window)
+from .complexes import BifilteredComplex, FiltrationMode, homology_data
 from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
 from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
@@ -34,53 +32,7 @@ class UpsilonVariant(Enum):
     LOWER = "lower"
 
 
-def deg_t(g: Generator, t, u_power: int = 0) -> Fraction:
-    """(t/2) * f2 + (1 - t/2) * f1 for the U^u_power translate of g.
-
-    The slots (f1, f2) are read as (Min, Max); on an unfolded complex this
-    evaluates the classic convention with the t/2 weight on f2 = Alex.
-    """
-    t = Fraction(t)
-    if not 0 <= t <= 2:
-        raise ValueError(f"t={t} outside [0, 2]")
-    half = t / 2
-    return half * (g.f2 - u_power) + (1 - half) * (g.f1 - u_power)
-
-
-def chain_deg_t(C: BifilteredComplex, z: Chain, t) -> Fraction:
-    """deg_t of a chain: the maximum over its translated generators."""
-    if C.mode is not FiltrationMode.MIN_MAX:
-        raise ValueError("chain_deg_t needs a folded (MIN_MAX) complex")
-    if z.is_zero:
-        raise ValueError("deg_t of the zero chain is -infinity")
-    return max(deg_t(C.by_id[gid], t, u) for u, gid in z.terms)
-
-
-@dataclass(frozen=True)
-class TowerClassWitness:
-    grading: int
-    base_cycle: Chain
-    boundary_space_basis: tuple
-
-
-def _strict_tower(C: BifilteredComplex, grading: int):
-    """Window, rank-1 base mask and boundary basis masks for one grading."""
-    win, reps, boundaries = homology_data(C, grading)
-    if len(reps) != 1:
-        raise ValueError(
-            f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
-    pos = {term: i for i, term in enumerate(win)}
-    return win, pos, u_window(C, grading + 1), reps[0], boundaries
-
-
-def tower_witness(C: BifilteredComplex, grading: int) -> TowerClassWitness:
-    """Base cycle and boundary basis of the rank-1 tower in one grading."""
-    win, _, _, base, boundaries = _strict_tower(C, grading)
-    return TowerClassWitness(grading, _mask_to_chain(base, win),
-                             tuple(_mask_to_chain(b, win) for b in boundaries))
-
-
-def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0):
+def _upsilon_pieces(C: BifilteredComplex, grading: int):
     """Upsilon of the rank-1 tower class as a piece list, by a sweep over t.
 
     Each coordinate (a U-translate of a generator) carries the integer line
@@ -94,26 +46,11 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0):
     it change no coset element's leading coordinate.  Only coordinates in
     the support of the coset are ever looked at.
     """
-    win, pos, win_up, base, boundaries = _strict_tower(C, grading)
-    coords = list(win)
-    if window_pad:
-        coord_pos = dict(pos)
-        sources = list(win_up)
-        for j in range(1, window_pad + 1):
-            sources += u_window(C, grading + 1 - 2 * j)
-            sources += u_window(C, grading + 1 + 2 * j)
-        cols = []
-        for u, gid in sources:
-            m = 0
-            for tgt in C.targets_of(gid):
-                key = (u, tgt)
-                if key not in coord_pos:
-                    coord_pos[key] = len(coords)
-                    coords.append(key)
-                m |= 1 << coord_pos[key]
-            cols.append(m)
-        boundaries = gf2.image_basis(cols)
-
+    coords, reps, boundaries = homology_data(C, grading)
+    if len(reps) != 1:
+        raise ValueError(
+            f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
+    base = reps[0]
     support = base
     for v in boundaries:
         support |= v
@@ -161,12 +98,11 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int, *, window_pad: int = 0):
         p, q = num, den
 
 
-def nu_function(C: BifilteredComplex, grading: int, *,
-                window_pad: int = 0) -> PLFunction:
+def nu_function(C: BifilteredComplex, grading: int) -> PLFunction:
     """Exact minimal deg_t level of the rank-1 tower class, as a PL function."""
     if C.mode is not FiltrationMode.MIN_MAX:
         raise ValueError("nu_function needs a folded (MIN_MAX) complex")
-    pieces = _upsilon_pieces(C, grading, window_pad=window_pad)
+    pieces = _upsilon_pieces(C, grading)
     return PLFunction.from_pieces(pieces).scale(Fraction(-1, 2))
 
 
@@ -192,8 +128,7 @@ def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = Non
 
 
 def upsilon(C_knot: BifilteredComplex, which: UpsilonVariant,
-            involution: ChainMap | None = None, *, reduce_cone: bool = True,
-            strip: bool = False) -> PLFunction:
+            involution: ChainMap | None = None, *, strip: bool = False) -> PLFunction:
     """One of the four Upsilon functions of an unfolded knot complex.
 
     UPPER and LOWER need an involution; it is derived automatically for
@@ -206,7 +141,7 @@ def upsilon(C_knot: BifilteredComplex, which: UpsilonVariant,
         return PLFunction.from_pieces(_upsilon_pieces(C_knot, 0))
     if which is UpsilonVariant.FOLDED:
         return PLFunction.from_pieces(_upsilon_pieces(fold(C_knot), 0))
-    cone = involutive_cone(C_knot, involution, reduce_cone=reduce_cone, strip=strip)
+    cone = involutive_cone(C_knot, involution, strip=strip)
     return PLFunction.from_pieces(
         _upsilon_pieces(cone, 0 if which is UpsilonVariant.UPPER else 1))
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the production algorithms: homology by exhaustive
 subset enumeration, nu by direct minimisation over the whole representative
-coset at fixed t, envelopes by the candidate-midpoint scan, torus-knot
-steps from the semigroup gap description of the Alexander polynomial, and
-classic Upsilon of L-space knots from the corners of the staircase.
+coset at fixed t, nu on a padded window by its own elimination at fixed t,
+torus-knot steps from the semigroup gap description of the Alexander
+polynomial, and classic Upsilon of L-space knots from the corners of the
+staircase.
 """
 
 from __future__ import annotations
@@ -81,30 +82,104 @@ def brute_nu_value(C, grading, t):
     return best
 
 
-def envelope_by_midpoints(lines, upper=True):
-    """Envelope of lines on [0, 2] via candidate crossings and midpoints.
+def _level(g, u, t):
+    """deg_t of the U^u translate of g."""
+    return Fraction(t, 2) * (g.f2 - u) + (1 - Fraction(t, 2)) * (g.f1 - u)
 
-    Returns the list of (t, value) breakpoints including both endpoints.
+
+def _residual(v, pivots):
+    while v and v.bit_length() - 1 in pivots:
+        v ^= pivots[v.bit_length() - 1]
+    return v
+
+
+def padded_window(C, grading, pad=1):
+    """(coords, base, boundaries) of the rank-1 tower with a padded window.
+
+    The boundary sources are the translates in gradings grading + 1 + 2j for
+    |j| <= pad, not only grading + 1; coords lists the grading window first,
+    then every translate those boundaries reach.  base is a cycle of the
+    grading window that is not a boundary; all three are in coords' bits.
     """
-    lines = sorted(set(lines))
-    candidates = {Fraction(0), Fraction(2)}
+    win, index = window_setup(C, grading)
+    coords = list(win)
+
+    def column(term):
+        u, gid = term
+        m = 0
+        for tgt in C.targets_of(gid):
+            if (u, tgt) not in index:
+                index[(u, tgt)] = len(coords)
+                coords.append((u, tgt))
+            m |= 1 << index[(u, tgt)]
+        return m
+
+    boundaries = [column(term) for j in range(-pad, pad + 1)
+                  for term in window_setup(C, grading + 1 + 2 * j)[0]]
+    pivots = {}
+    for b in boundaries:
+        r = _residual(b, pivots)
+        if r:
+            pivots[r.bit_length() - 1] = r
+    _, pos_down = window_setup(C, grading - 1)
+    down, cycles = {}, []
+    for i, term in enumerate(win):
+        v, combo = _column(C, term, pos_down), 1 << i
+        while v and v.bit_length() - 1 in down:
+            dv, dc = down[v.bit_length() - 1]
+            v, combo = v ^ dv, combo ^ dc
+        if v:
+            down[v.bit_length() - 1] = (v, combo)
+        else:
+            cycles.append(combo)
+    classes = []
+    for z in cycles:
+        r = _residual(z, pivots)
+        if r:
+            pivots[r.bit_length() - 1] = r
+            classes.append(z)
+    assert len(classes) == 1, f"homology rank {len(classes)} in grading {grading}"
+    return coords, classes[0], boundaries
+
+
+def padded_nu_value(C, window, t):
+    """Least max deg_t over the coset of a padded_window, at a fixed t.
+
+    With the coordinates renumbered in ascending deg_t, reducing the base
+    against the boundaries, pivoting on the highest bit, leaves the coset
+    element whose highest coordinate is lowest.
+    """
+    coords, base, boundaries = window
+    levels = [_level(C.by_id[gid], u, t) for u, gid in coords]
+    order = sorted(range(len(coords)), key=levels.__getitem__)
+    rank = {c: k for k, c in enumerate(order)}
+
+    def renumber(mask):
+        return sum(1 << rank[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    pivots = {}
+    for b in boundaries:
+        r = _residual(renumber(b), pivots)
+        if r:
+            pivots[r.bit_length() - 1] = r
+    lead = _residual(renumber(base), pivots).bit_length() - 1
+    return levels[order[lead]]
+
+
+def window_grid(C, coords):
+    """0, 2, every crossing in (0, 2) of two coordinates' deg_t lines, and
+    the midpoints between consecutive ones: a PL function whose breakpoints
+    are such crossings is pinned down by its values there."""
+    lines = set()
+    for u, gid in coords:  # deg_t = (f1 - u) + (t / 2) * (f2 - f1)
+        g = C.by_id[gid]
+        lines.add((g.f2 - g.f1, g.f1 - u))
+    cuts = {Fraction(0), Fraction(2)}
     for (s1, b1), (s2, b2) in combinations(lines, 2):
         if s1 != s2:
-            tx = Fraction(b2 - b1, s1 - s2)
-            if 0 < tx < 2:
-                candidates.add(tx)
-    grid = sorted(candidates)
-
-    def env(t):
-        vals = [b + s * t for s, b in lines]
-        return max(vals) if upper else min(vals)
-
-    pts = [(grid[0], env(grid[0]))]
-    for t0, t1 in zip(grid, grid[1:]):
-        mid = (t0 + t1) / 2
-        pts.append((mid, env(mid)))
-        pts.append((t1, env(t1)))
-    return pts
+            cuts.add(Fraction(2 * (b2 - b1), s1 - s2))
+    cuts = sorted(t for t in cuts if 0 <= t <= 2)
+    return cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
 
 
 def semigroup_torus_steps(p, q):

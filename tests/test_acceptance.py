@@ -1,28 +1,32 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: criteria 1-7, then one case per `verify` check.
 
 Everything is exact rational arithmetic; "agreement" always means equality
-of PLFunction breakpoints, never approximate comparison.
+of PLFunction breakpoints, never approximate comparison.  The checks are
+the ones `involutive-upsilon verify` runs, with its default settings.
 """
 
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
-                                Generator, PLFunction, Sign, StaircaseSpec,
-                                UpsilonVariant, direct_sum, essential_signature,
-                                homology_rank, involutive_cone,
-                                materialize_closed_form,
+                                Generator, Sign, StaircaseSpec, UpsilonVariant,
+                                direct_sum, essential_signature, homology_rank,
+                                involutive_cone, materialize_closed_form,
                                 closed_form_cone_reduction, reduce_bifiltered,
-                                slope_bound_check, staircase_from_steps,
-                                staircase_involution, steps_from_torus_knot,
-                                upsilon, upsilon_pair_from_cone, v0_invariants)
+                                staircase_from_steps, staircase_involution,
+                                steps_from_torus_knot, upsilon,
+                                upsilon_pair_from_cone, v0_invariants)
 from involutive_upsilon.reduction import generator_signature
-from involutive_upsilon.upsilon import filtration_width
-from involutive_upsilon.verify import (corpus_knots, run_verify,
+from involutive_upsilon.verify import (CHECKS, VerifySettings, corpus_knots,
                                        symmetric_specs, torus_knot_corpus)
 
 GRID12 = [Fraction(j, 12) for j in range(25)]
+
+# seconds per check, filled by test_verify_check for the suite budget
+SECONDS = {}
 
 
 def report(n, label, ok=True):
@@ -32,13 +36,7 @@ def report(n, label, ok=True):
 
 def test_criterion_1_t37_goldens():
     start = time.perf_counter()
-    C = staircase_from_steps(steps_from_torus_knot(3, 7))
-    upper = upsilon(C, UpsilonVariant.UPPER)
-    lower = upsilon(C, UpsilonVariant.LOWER)
-    assert upper == PLFunction(((0, 0), (Fraction(2, 3), -4), (2, -4)))
-    assert lower == PLFunction.constant(-4)
-    assert upper(Fraction(1, 2)) == -3
-    assert lower(Fraction(1, 2)) == -4
+    dict(CHECKS)["T(3,7)-goldens"](VerifySettings())
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
     report(1, "T(3,7) golden values, exact, <1s")
@@ -158,26 +156,23 @@ def test_criterion_7_acyclic_summand_invariance():
               f"unchanged ({len(knots)} knots)")
 
 
-def test_criterion_8_slope_bound():
-    knots = corpus_knots(35)
-    for label, C in knots:
-        for w in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
-            f = upsilon(C, w)
-            assert slope_bound_check(f, C), (label, w)
-            assert all(abs(s) <= filtration_width(C) for s in f.slopes())
-    report(8, f"all upper/lower slopes bounded by max|alg - Alex| on {len(knots)} knots")
+def _timed_check(name, check):
+    start = time.perf_counter()
+    detail = check(VerifySettings())
+    SECONDS[name] = time.perf_counter() - start
+    return detail
+
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_verify_check(name, check):
+    detail = _timed_check(name, check)
+    print(f"  verify/{name}: ok {detail} ({SECONDS[name]:.2f}s)", flush=True)
 
 
 def test_criterion_9_property_suites():
-    start = time.perf_counter()
-    results = run_verify(max_steps=8, grid_denominator=12, seed=20260808)
-    elapsed = time.perf_counter() - start
-    for r in results:
-        print(f"  verify/{r.name}: {'ok' if r.ok else 'FAIL'} {r.detail}", flush=True)
-    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+    for name, check in CHECKS:
+        if name not in SECONDS:  # its case was deselected
+            _timed_check(name, check)
+    elapsed = sum(SECONDS.values())
     assert elapsed < 120.0, f"verify took {elapsed:.1f}s, budget 120s"
-    names = {r.name for r in results}
-    assert {"d-squared-random-chains", "engine-agreement",
-            "reduction-order-independence", "u-window-sufficiency",
-            "pl-normalization-idempotence"} <= names
-    report(9, f"full verify suite green in {elapsed:.1f}s (<2min)")
+    report(9, f"all {len(CHECKS)} verify checks green in {elapsed:.1f}s (<2min)")

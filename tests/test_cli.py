@@ -1,8 +1,10 @@
 import json
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
-from involutive_upsilon import loads_complex
+from involutive_upsilon import BifilteredComplex, loads_complex
 from involutive_upsilon.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                                     KnotSpecError, main, parse_knot_spec)
 from involutive_upsilon.staircase import Sign
@@ -90,9 +92,10 @@ def test_compute_engine_mismatch_exit(capsys, monkeypatch):
     real = reduction.materialize_closed_form
 
     def corrupted(out):
+        # every filtration level one lower: Upsilon moves, the shape does not
         C = real(out)
-        from involutive_upsilon.complexes import shift
-        return shift(C, 0, -1, -1)
+        gens = [replace(g, f1=g.f1 - 1, f2=g.f2 - 1) for g in C.generators]
+        return BifilteredComplex(tuple(gens), C.arrows, C.mode)
 
     monkeypatch.setattr(reduction, "materialize_closed_form", corrupted)
     code, out, err = run_cli(capsys, "compute", "--knot", "torus:2,5",
@@ -195,6 +198,15 @@ def test_verify_quick(capsys):
     assert out.count("ok  ") >= 10
 
 
+@pytest.mark.parametrize("flag", ["--max-steps", "--grid-denominator"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_bad_bounds(capsys, flag, value):
+    # these used to check nothing and pass, or divide by zero for the grid
+    code, out, err = run_cli(capsys, "verify", flag, value)
+    assert code == EXIT_PARSE
+    assert f"{flag} must be at least 1" in err and out == ""
+
+
 def test_unknown_invariant_rejected(capsys):
     code, _, err = run_cli(capsys, "compute", "--knot", "torus:2,3",
                            "--invariant", "tau")
@@ -248,6 +260,29 @@ def test_compute_file_non_list_field_exit(capsys, tmp_path, field):
                            "--invariant", "classic,upper")
     assert code == EXIT_PARSE
     assert f"{field} must be a list" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "dump-complex"])
+def test_deeply_nested_file_exit(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, command, "--knot", f"file:{path}")
+    assert code == EXIT_PARSE
+    assert "nested too deeply" in err and out == ""
+
+
+def test_svg_title_is_escaped(capsys, tmp_path):
+    path = tmp_path / "a&<b.json"
+    path.write_text(
+        '{"mode": "ALG_ALEX", "generators": [{"id": "u", "gr": 0, "f1": 0, "f2": 0}],'
+        ' "differential": [], "involution": [{"from": "u", "to": "u"}]}')
+    code, out, _ = run_cli(capsys, "compute", "--knot", f"file:{path}",
+                           "--invariant", "classic", "--output", "svg",
+                           "--output-dir", str(tmp_path))
+    assert code == EXIT_OK
+    svg = out.split("wrote ", 1)[1].strip()
+    title = ET.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == f"file:{path}"
 
 
 def test_compute_large_coset_torus(capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from involutive_upsilon import (BifilteredComplex, Chain, FiltrationMode,
                                 Generator, boundary, direct_sum, dumps_complex,
-                                homology_basis, homology_rank, loads_complex,
-                                mirror, shift, unknot_complex, validate)
+                                homology_rank, loads_complex, mirror,
+                                unknot_complex, validate)
+from involutive_upsilon.complexes import homology_data
 from involutive_upsilon.involutive import staircase_involution, fold, fold_map, mapping_cone
 
 from oracles import brute_homology
@@ -83,17 +84,6 @@ def test_boundary_unknown_id(t23):
         boundary(t23, Chain.of("v99"))
 
 
-def test_boundary_squared_on_random_chains(t37):
-    cone = t37_cone(t37)
-    ids = [g.id for g in cone.generators]
-    rng = random.Random(20260808)
-    for _ in range(100):
-        terms = {(rng.randrange(-3, 4), rng.choice(ids))
-                 for _ in range(rng.randrange(1, 7))}
-        z = Chain(frozenset(terms))
-        assert boundary(cone, boundary(cone, z)).is_zero
-
-
 def test_boundary_u_equivariance(t37):
     z = Chain.of("v1", "v3")
     assert boundary(t37, z.u_shift(2)) == boundary(t37, z).u_shift(2)
@@ -101,19 +91,19 @@ def test_boundary_u_equivariance(t37):
 
 def test_homology_unknot():
     C = unknot_complex()
-    assert len(homology_basis(C, 0)) == 1
-    assert homology_basis(C, 1) == []
+    assert homology_rank(C, 0) == 1
+    assert homology_rank(C, 1) == 0
 
 
 def test_homology_t37(t37):
-    assert len(homology_basis(t37, 0)) == 1
-    assert homology_basis(t37, 1) == []
+    assert homology_rank(t37, 0) == 1
+    assert homology_rank(t37, 1) == 0
 
 
 def test_homology_t37_cone_towers(t37):
     cone = t37_cone(t37)
-    assert len(homology_basis(cone, 0)) == 1
-    assert len(homology_basis(cone, 1)) == 1
+    assert homology_rank(cone, 0) == 1
+    assert homology_rank(cone, 1) == 1
 
 
 def test_homology_matches_brute_oracle(t23, t25):
@@ -126,20 +116,22 @@ def test_homology_matches_brute_oracle(t23, t25):
 def test_homology_ordering_invariance(t25):
     rng = random.Random(7)
     cone = mapping_cone(fold(t25), fold_map(staircase_involution(t25)))
-    _, _, boundaries, _ = brute_homology(cone, 0)
-    win = {term: i for i, term in enumerate(__import__("involutive_upsilon").complexes.u_window(cone, 0))}
-    reference = homology_basis(cone, 0)[0]
+    win, _, boundaries, _ = brute_homology(cone, 0)
+    pos = {term: i for i, term in enumerate(win)}
+
+    def representative(C):
+        """The single homology representative, as a mask over cone's window."""
+        w, reps, _ = homology_data(C, 0)
+        assert len(reps) == 1
+        return sum(1 << pos[term] for i, term in enumerate(w) if reps[0] >> i & 1)
+
+    reference = representative(cone)
     for _ in range(5):
         gens = list(cone.generators)
         rng.shuffle(gens)
         shuffled = BifilteredComplex(tuple(gens), cone.arrows, cone.mode)
-        assert homology_rank(shuffled, 0) == 1
-        rep = homology_basis(shuffled, 0)[0]
-        diff = rep ^ reference
-        mask = 0
-        for term in diff.terms:
-            mask |= 1 << win[term]
-        assert mask in boundaries  # representatives are homologous
+        # representatives are homologous
+        assert representative(shuffled) ^ reference in boundaries
 
 
 def test_direct_sum_with_empty(t23):
@@ -167,21 +159,10 @@ def test_direct_sum_mode_mismatch(t23):
         direct_sum(t23, box(mode=FiltrationMode.MIN_MAX))
 
 
-def test_shift_identity(t37):
-    assert shift(t37, 0, 0, 0) == t37
-
-
-def test_shift_u_translate():
-    C = shift(unknot_complex(), -2, -1, -1)
-    g = C.generators[0]
-    assert (g.grading, g.f1, g.f2) == (-2, -1, -1)
-
-
 def test_shift_grading_matches_cone_a_copy(t37):
-    lifted = shift(t37, 1, 0, 0)
     cone = t37_cone(t37)
-    for g in lifted.generators:
-        assert cone.by_id[f"A.{g.id}"].grading == g.grading
+    for g in t37.generators:
+        assert cone.by_id[f"A.{g.id}"].grading == g.grading + 1
 
 
 def test_json_roundtrip(t37):

@@ -1,12 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from involutive_upsilon.plfunction import PLFunction, merge_pieces
+from involutive_upsilon.plfunction import PLFunction
 from involutive_upsilon.render import format_plfunction, plfunction_csv
-
-from oracles import envelope_by_midpoints
 
 
 def test_collinear_breakpoints_removed():
@@ -43,31 +40,6 @@ def test_eval_and_slopes():
 def test_scale():
     f = PLFunction(((0, 0), (2, -4)))
     assert f.scale(Fraction(-1, 2)) == PLFunction(((0, 0), (2, 2)))
-
-
-def test_pointwise_max_min():
-    f = PLFunction(((0, 0), (2, -4)))   # -2t
-    g = PLFunction.constant(-2)
-    top = f.pointwise_max(g)
-    bot = f.pointwise_min(g)
-    assert top.breakpoints == ((0, 0), (1, -2), (2, -2))
-    assert bot.breakpoints == ((0, -2), (1, -2), (2, -4))
-
-
-def test_merge_pieces_matches_pointwise():
-    rng = random.Random(123)
-    grid = [Fraction(j, 8) for j in range(17)]
-    for _ in range(200):
-        l1 = [(rng.randrange(-5, 6), rng.randrange(-6, 7)) for _ in range(3)]
-        l2 = [(rng.randrange(-5, 6), rng.randrange(-6, 7)) for _ in range(3)]
-        f1 = PLFunction(tuple(envelope_by_midpoints(l1, upper=False))).pieces()
-        f2 = PLFunction(tuple(envelope_by_midpoints(l2, upper=False))).pieces()
-        top = PLFunction.from_pieces(merge_pieces(f1, f2, True))
-        bot = PLFunction.from_pieces(merge_pieces(f1, f2, False))
-        pf1, pf2 = PLFunction.from_pieces(f1), PLFunction.from_pieces(f2)
-        for t in grid:
-            assert top(t) == max(pf1(t), pf2(t))
-            assert bot(t) == min(pf1(t), pf2(t))
 
 
 def test_format_plfunction():

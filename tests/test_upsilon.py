@@ -3,76 +3,71 @@ from fractions import Fraction
 
 import pytest
 
-from involutive_upsilon import (BifilteredComplex, Chain, ChainMap,
-                                FiltrationMode, Generator, PLFunction, Sign,
-                                StaircaseSpec, UpsilonVariant, chain_deg_t,
-                                deg_t, direct_sum, fold, homology_basis,
+from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
+                                Generator, PLFunction, Sign, StaircaseSpec,
+                                UpsilonVariant, direct_sum, fold,
                                 involutive_cone, mirror, nu_function,
                                 slope_bound_check, staircase_from_steps,
-                                staircase_involution, tower_witness,
-                                unknot_complex, upsilon, upsilon_pair_from_cone,
+                                staircase_involution, unknot_complex, upsilon, upsilon_pair_from_cone,
                                 v0_invariants)
+from involutive_upsilon.complexes import homology_data
 from involutive_upsilon.upsilon import filtration_width
 from involutive_upsilon.verify import symmetric_specs
 
-from oracles import brute_nu_value, oss_classic_value, semigroup_torus_steps
+from oracles import (brute_nu_value, oss_classic_value, padded_nu_value,
+                     padded_window, semigroup_torus_steps, window_grid)
 
 GRID = [Fraction(j, 12) for j in range(25)]
 
 
-def gen(f1, f2):
-    return Generator("g", 0, f1, f2)
+def single(f1, f2):
+    """One folded generator at (Min, Max) = (f1, f2): nu is its deg_t."""
+    return BifilteredComplex((Generator("g", 0, f1, f2),), frozenset(),
+                             FiltrationMode.MIN_MAX)
 
 
 def test_deg_t_spot_values():
-    assert deg_t(gen(0, 6), Fraction(1, 2)) == Fraction(3, 2)
+    assert nu_function(single(0, 6), 0)(Fraction(1, 2)) == Fraction(3, 2)
     for t in (0, Fraction(1, 3), 1, 2):
-        assert deg_t(gen(2, 2), t) == 2
-    assert deg_t(gen(1, 4), Fraction(1, 2)) == Fraction(7, 4)
+        assert nu_function(single(2, 2), 0)(t) == 2
+    assert nu_function(single(1, 4), 0)(Fraction(1, 2)) == Fraction(7, 4)
 
 
 def test_deg_t_u_translate():
-    assert deg_t(gen(0, 6), Fraction(1, 2), u_power=3) == Fraction(3, 2) - 3
+    # grading -6 holds the U^3 translate, three levels lower
+    assert nu_function(single(0, 6), -6)(Fraction(1, 2)) == Fraction(3, 2) - 3
 
 
 def test_deg_t_range_check():
     with pytest.raises(ValueError, match="outside"):
-        deg_t(gen(0, 0), Fraction(5, 2))
+        nu_function(single(0, 0), 0)(Fraction(5, 2))
 
 
-def test_chain_deg_t_is_max_over_terms(t37):
-    F = fold(t37)
-    z = Chain.of("v0", "v4")  # folded (0,6) and (2,2)
-    assert chain_deg_t(F, z, Fraction(1, 2)) == 2
-    assert chain_deg_t(F, z, 0) == 2
-    with pytest.raises(ValueError, match="zero chain"):
-        chain_deg_t(F, Chain(), 1)
-    with pytest.raises(ValueError, match="MIN_MAX"):
-        chain_deg_t(t37, z, 1)
+def tower_terms(C, grading):
+    """The (u, id) terms of the single homology representative in a grading."""
+    win, reps, _ = homology_data(C, grading)
+    assert len(reps) == 1
+    return {term for i, term in enumerate(win) if reps[0] >> i & 1}
 
 
 def test_tower_witness_unknot():
-    w = tower_witness(fold(unknot_complex()), 0)
-    assert w.base_cycle == Chain.of("u")
-    assert w.boundary_space_basis == ()
+    assert homology_data(fold(unknot_complex()), 0) == ([(0, "u")], [1], [])
 
 
 def test_tower_witness_t37_cone(t37):
     cone = involutive_cone(t37)
     for grading in (0, 1):
-        w = tower_witness(cone, grading)
-        assert not w.base_cycle.is_zero
-        assert homology_basis(cone, grading)  # rank one there
+        assert tower_terms(cone, grading)
     # localized homology is 2-periodic: grading 2 sees the U-translate
-    assert tower_witness(cone, 2).base_cycle == tower_witness(cone, 0).base_cycle.u_shift(-1)
+    assert tower_terms(cone, 2) == {(u - 1, g) for u, g in tower_terms(cone, 0)}
     with pytest.raises(ValueError, match="rank"):
-        tower_witness(fold(unknot_complex()), 1)
+        nu_function(fold(unknot_complex()), 1)
 
 
 def test_tower_witness_rejects_rank_two():
     S = direct_sum(unknot_complex(), unknot_complex())
     with pytest.raises(ValueError, match="rank"):
-        tower_witness(fold(S), 0)
+        nu_function(fold(S), 0)
 
 
 def test_nu_t23_folded(t23):
@@ -127,10 +122,17 @@ def test_nu_with_surviving_acyclic_summand_matches_oracle(t37):
             assert f(t) == brute_nu_value(red, grading, t)
 
 
-def test_nu_window_padding_no_effect(t37):
-    cone = involutive_cone(t37)
-    for grading in (0, 1):
-        assert nu_function(cone, grading) == nu_function(cone, grading, window_pad=1)
+def test_nu_window_padding_no_effect():
+    # boundaries from the gradings two above and below the window's own
+    # sources enlarge the coset; the least level must not move
+    for steps in list(symmetric_specs(5))[:8]:
+        stair = staircase_from_steps(StaircaseSpec(steps, Sign.POSITIVE))
+        cone = involutive_cone(stair)
+        for X, grading in ((cone, 0), (cone, 1), (fold(stair), 0)):
+            f = nu_function(X, grading)
+            window = padded_window(X, grading)
+            for t in window_grid(X, window[0]):
+                assert f(t) == padded_nu_value(X, window, t), (steps, grading, t)
 
 
 def breakpoints_and_midpoints(f):
@@ -176,15 +178,6 @@ def test_large_coset_knots(steps):
         assert slope_bound_check(f[w], C)
 
 
-def test_upsilon_t37_goldens(t37):
-    upper = upsilon(t37, UpsilonVariant.UPPER)
-    lower = upsilon(t37, UpsilonVariant.LOWER)
-    assert upper == PLFunction(((0, 0), (Fraction(2, 3), -4), (2, -4)))
-    assert lower == PLFunction.constant(-4)
-    assert upper(Fraction(1, 2)) == -3
-    assert lower(Fraction(1, 2)) == -4
-
-
 def test_upsilon_classic_t23(t23):
     f = upsilon(t23, UpsilonVariant.CLASSIC)
     assert f == PLFunction(((0, 0), (1, -1), (2, 0)))
@@ -204,8 +197,10 @@ def test_upsilon_folded_t37(t37):
 def test_upsilon_reduced_and_unreduced_agree(t25, t37):
     for C in (t25, t37, mirror(t25)):
         for which in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
-            assert upsilon(C, which) == upsilon(C, which, reduce_cone=False)
             assert upsilon(C, which) == upsilon(C, which, strip=True)
+        unreduced = upsilon_pair_from_cone(involutive_cone(C, reduce_cone=False))
+        assert unreduced == (upsilon(C, UpsilonVariant.UPPER),
+                             upsilon(C, UpsilonVariant.LOWER))
 
 
 def test_upsilon_requires_unfolded(t25):
@@ -230,12 +225,6 @@ def test_ordering_on_grid(t37, t25):
         up = upsilon(C, UpsilonVariant.UPPER)
         for t in GRID:
             assert low(t) <= mid(t) <= up(t)
-
-
-def test_classic_symmetry(t37):
-    f = upsilon(t37, UpsilonVariant.CLASSIC)
-    for t in GRID:
-        assert f(t) == f(2 - t)
 
 
 def test_classic_mirror_negates():
