@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .complexes import FiltrationMode, dumps_complex, loads_complex, validate
-from .involutive import ChainMap, chain_map_violations, staircase_involution
+from .involutive import ChainMap, chain_map_violations, fold, staircase_involution
 from .plfunction import PLFunction
 from .reduction import strip_acyclic
 from .render import (UPSILON_LABELS, format_plfunction, format_rational,
@@ -239,6 +239,20 @@ def _emit(job: JobSpec, all_results, stdout) -> None:
                              f"V̲0 = {format_rational(v_low)}\n")
 
 
+def _exit_codes(command):
+    """Wrap a command so a failure prints one error line and exits 4, 5 or 2."""
+    def guarded(*args):
+        try:
+            return command(*args)
+        except (EngineMismatchError, OSError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            if isinstance(e, EngineMismatchError):
+                return EXIT_MISMATCH
+            return EXIT_IO if isinstance(e, OSError) else EXIT_PARSE
+    return guarded
+
+
+@_exit_codes
 def run(job: JobSpec, stdout=None) -> int:
     stdout = stdout or sys.stdout
     if job.output != "table":
@@ -246,31 +260,16 @@ def run(job: JobSpec, stdout=None) -> int:
         for text in job.knots:
             stem = _slug(text)
             if stem in stems:
-                print(f"error: knots {stems[stem]!r} and {text!r} would write the "
-                      f"same {job.output} file stem {stem!r}", file=sys.stderr)
-                return EXIT_PARSE
+                raise ValueError(f"knots {stems[stem]!r} and {text!r} would write the "
+                                 f"same {job.output} file stem {stem!r}")
             stems[stem] = text
-    try:
-        all_results = []
-        for text in job.knots:
-            recipe = parse_knot_spec(text)
-            results = compute_knot(recipe, job.invariants, job.engine,
-                                   job.strip_acyclic)
-            all_results.append((recipe.label, results))
-        _emit(job, all_results, stdout)
-        return EXIT_OK
-    except KnotSpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except EngineMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    all_results = []
+    for text in job.knots:
+        recipe = parse_knot_spec(text)
+        results = compute_knot(recipe, job.invariants, job.engine, job.strip_acyclic)
+        all_results.append((recipe.label, results))
+    _emit(job, all_results, stdout)
+    return EXIT_OK
 
 
 def _cmd_compute(args) -> int:
@@ -319,40 +318,27 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
+@_exit_codes
 def _cmd_dump(args) -> int:
-    try:
-        recipe = parse_knot_spec(args.knot)
-        C, involution = build_knot(recipe)
-        stage = args.stage
-        inv_arrows = involution.arrows if involution is not None else None
-        if stage == "base":
-            text = dumps_complex(C, inv_arrows)
-        else:
-            if involution is None:
-                print(f"error: stage {stage!r} needs an involution", file=sys.stderr)
-                return EXIT_PARSE
-            if stage == "folded":
-                from .involutive import fold
-                text = dumps_complex(fold(C), inv_arrows)
-            else:
-                cone = involutive_cone(C, involution, reduce_cone=(stage == "reduced"))
-                if args.strip_acyclic and stage == "reduced":
-                    cone = strip_acyclic(cone)
-                text = dumps_complex(cone)
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.output).write_text(text, encoding="utf-8")
-        return EXIT_OK
-    except KnotSpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    C, involution = build_knot(parse_knot_spec(args.knot))
+    stage = args.stage
+    inv_arrows = involution.arrows if involution is not None else None
+    if stage == "base":
+        text = dumps_complex(C, inv_arrows)
+    elif involution is None:
+        raise ValueError(f"stage {stage!r} needs an involution")
+    elif stage == "folded":
+        text = dumps_complex(fold(C), inv_arrows)
+    else:
+        cone = involutive_cone(C, involution, reduce_cone=(stage == "reduced"))
+        if args.strip_acyclic and stage == "reduced":
+            cone = strip_acyclic(cone)
+        text = dumps_complex(cone)
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.output).write_text(text, encoding="utf-8")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,9 @@ carrying a homological grading and a filtration bidegree, plus an F2
 differential with no U powers.  The full complex is the span of all
 U-translates of the generators; U lowers the grading by 2 and both
 filtration levels by 1.  Translates are never materialized as generators:
-a `Chain` names them as (u_power, id) terms, and `homology_data` works
-inside the finite window of translates that live in one grading.
+a `Chain` names them as (u_power, id) terms.  The translates living in
+grading g are U^u x, u = (gr(x) - g) / 2, for the generators x of g's
+parity, so a complex computes homology once per parity (`parity_homology`).
 
 The bidegree (f1, f2) is read as (alg, Alex) in ALG_ALEX mode and as
 (Min, Max) in MIN_MAX mode; the complex records which reading is active.
@@ -116,6 +117,41 @@ class BifilteredComplex:
     def targets_of(self, gid: str) -> frozenset:
         return self._targets[gid]
 
+    @cached_property
+    def _parity_classes(self):
+        """Per grading parity: its generator indices in generator order, and
+        each one's boundary as a bitmask over the other class's positions."""
+        classes = ([], [])
+        pos = {}
+        for i, g in enumerate(self.generators):
+            pos[g.id] = len(classes[g.grading % 2])
+            classes[g.grading % 2].append(i)
+        columns = tuple(
+            [sum(1 << pos[t] for t in self._targets[self.generators[i].id]) for i in cls]
+            for cls in classes)
+        return classes, columns
+
+    @cached_property
+    def _homology(self) -> dict:
+        return {}
+
+    def parity_homology(self, parity: int):
+        """(indices, reps, boundaries) shared by every grading of one parity.
+
+        `indices` are the generators of that parity in generator order; bit
+        k of a mask is the translate of generators[indices[k]] living in the
+        grading.  d maps U^u x to translates with the same u, so the kernel,
+        the boundary basis and the representatives do not depend on which
+        grading of the parity is asked for; they are built once.
+        """
+        if parity not in self._homology:
+            classes, columns = self._parity_classes
+            cycles = gf2.kernel_basis(columns[parity])
+            boundaries = gf2.image_basis(columns[1 - parity])
+            reps = gf2.quotient_representatives(cycles, boundaries)
+            self._homology[parity] = (tuple(classes[parity]), reps, boundaries)
+        return self._homology[parity]
+
     def sorted_arrows(self) -> list[tuple[str, str]]:
         idx = self.index
         return sorted(self.arrows, key=lambda a: (idx[a[0]], idx[a[1]]))
@@ -173,47 +209,20 @@ def boundary(C: BifilteredComplex, z: Chain) -> Chain:
     return Chain(frozenset(acc))
 
 
-def u_window(C: BifilteredComplex, grading: int) -> list[tuple[int, str]]:
-    """The U-translates of the generators living in the given grading.
-
-    Exactly the translates U^k g with grading(g) - 2k = grading; this is
-    the whole grading slice of the U-localized complex, so it is the only
-    window homology in that grading can see.
-    """
-    out = []
-    for g in C.generators:
-        delta = g.grading - grading
-        if delta % 2 == 0:
-            out.append((delta // 2, g.id))
-    return out
-
-
-def _window_columns(C, source_window, target_pos):
-    """Boundary columns from a window into a window position map."""
-    cols = []
-    for u, gid in source_window:
-        m = 0
-        for t in C.targets_of(gid):
-            m |= 1 << target_pos[(u, t)]
-        cols.append(m)
-    return cols
-
-
 def homology_data(C: BifilteredComplex, grading: int):
-    """Cycle reps, boundary basis and window for one grading (as masks)."""
-    win = u_window(C, grading)
-    pos = {term: i for i, term in enumerate(win)}
-    win_down = u_window(C, grading - 1)
-    pos_down = {term: i for i, term in enumerate(win_down)}
-    win_up = u_window(C, grading + 1)
-    cycles = gf2.kernel_basis(_window_columns(C, win, pos_down))
-    boundaries = gf2.image_basis(_window_columns(C, win_up, pos))
-    reps = gf2.quotient_representatives(cycles, boundaries)
-    return win, reps, boundaries
+    """Window, cycle reps and boundary basis for one grading (as masks).
+
+    The window lists the translates (u, id) living in the grading; bit k of
+    a mask is the k-th of them.
+    """
+    indices, reps, boundaries = C.parity_homology(grading % 2)
+    window = [((C.generators[i].grading - grading) // 2, C.generators[i].id)
+              for i in indices]
+    return window, reps, boundaries
 
 
 def homology_rank(C: BifilteredComplex, grading: int) -> int:
-    return len(homology_data(C, grading)[1])
+    return len(C.parity_homology(grading % 2)[1])
 
 
 def direct_sum(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:

@@ -1,9 +1,10 @@
 """Exact piecewise-linear functions on [0, 2] with rational breakpoints.
 
-A function converts to and from a "piece list" (`pieces`, `from_pieces`):
-entries (t_start, (slope, intercept)) that cover [0, 2], starts strictly
-increasing and the first at 0.  Line coefficients are exact numbers
-(ints or Fractions), so every comparison is exact.
+A function is stored as its piece list, the form the Upsilon sweep emits:
+entries (t_start, (slope, intercept)) with starts strictly increasing in
+[0, 2) from 0, each line in force until the next start.  Numbers are ints
+or Fractions, so every comparison is exact and the sweep's integer lines
+stay integers.  Breakpoints (t, value) are a view derived on request.
 """
 
 from __future__ import annotations
@@ -11,78 +12,75 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-def _val(line, t):
-    s, b = line
-    return b + s * t
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class PLFunction:
-    """Continuous PL function on [0, 2], stored by its breakpoints.
+    """Continuous PL function on [0, 2], stored by its canonical pieces.
 
-    Breakpoints are (t, value) pairs with strictly increasing rational t,
-    always including t = 0 and t = 2; construction drops interior points
-    that are collinear with their neighbours, so equal functions compare
-    equal.
+    Construction merges equal neighbouring lines and rejects neighbouring
+    lines that do not meet at the start between them, so equal functions
+    have equal piece lists.
     """
 
-    breakpoints: tuple
+    _pieces: tuple
 
     def __post_init__(self):
-        pts = [(Fraction(t), Fraction(v)) for t, v in self.breakpoints]
-        if len(pts) < 2:
-            raise ValueError("need at least the two endpoint breakpoints")
-        if pts[0][0] != 0 or pts[-1][0] != 2:
-            raise ValueError("breakpoints must span [0, 2]")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if t0 >= t1:
-                raise ValueError("breakpoint t values must be strictly increasing")
-        norm = [pts[0]]
-        for i in range(1, len(pts) - 1):
-            t0, v0 = norm[-1]
-            t1, v1 = pts[i]
-            t2, v2 = pts[i + 1]
-            if (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0):
-                continue
-            norm.append(pts[i])
-        norm.append(pts[-1])
-        object.__setattr__(self, "breakpoints", tuple(norm))
+        starts = [t for t, _ in self._pieces]
+        if not starts or starts[0] != 0 or starts[-1] >= 2 or any(
+                a >= b for a, b in zip(starts, starts[1:])):
+            raise ValueError("need pieces whose starts are strictly increasing "
+                             "in [0, 2), the first at 0")
+        out = [self._pieces[0]]
+        for t, (s, b) in self._pieces[1:]:
+            s0, b0 = out[-1][1]
+            if (s0, b0) != (s, b):
+                if (s0 - s) * t.numerator != (b - b0) * t.denominator:
+                    raise ValueError(f"neighbouring pieces do not meet at t = {t}")
+                out.append((t, (s, b)))
+        object.__setattr__(self, "_pieces", tuple(out))
 
     @classmethod
     def constant(cls, v) -> "PLFunction":
-        return cls(((Fraction(0), Fraction(v)), (Fraction(2), Fraction(v))))
+        return cls(((Fraction(0), (0, v)),))
 
     @classmethod
     def from_pieces(cls, pieces) -> "PLFunction":
-        pts = [(t, _val(line, t)) for t, line in pieces]
-        last = pieces[-1][1]
-        pts.append((Fraction(2), _val(last, Fraction(2))))
-        return cls(tuple((Fraction(t), Fraction(v)) for t, v in pts))
+        return cls(tuple(pieces))
+
+    @classmethod
+    def from_breakpoints(cls, points) -> "PLFunction":
+        """The function through (t, value) points that span [0, 2]."""
+        pts = [(Fraction(t), Fraction(v)) for t, v in points]
+        if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 2:
+            raise ValueError("need at least two breakpoints, spanning [0, 2]")
+        if any(t0 >= t1 for (t0, _), (t1, _) in zip(pts, pts[1:])):
+            raise ValueError("breakpoint t values must be strictly increasing")
+        slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
+        return cls(tuple((t, (s, v - s * t)) for (t, v), s in zip(pts, slopes)))
+
+    @cached_property
+    def breakpoints(self) -> tuple:
+        """(t, value) at every piece start and at t = 2."""
+        ends = [(Fraction(t), line) for t, line in self._pieces]
+        ends.append((Fraction(2), self._pieces[-1][1]))
+        return tuple((t, b + s * t) for t, (s, b) in ends)
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)
         if not 0 <= t <= 2:
             raise ValueError(f"t={t} outside [0, 2]")
-        ts = [p[0] for p in self.breakpoints]
-        i = max(0, bisect_right(ts, t) - 1)
-        if i == len(ts) - 1:
-            i -= 1
-        (t0, v0), (t1, v1) = self.breakpoints[i], self.breakpoints[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        _, (s, b) = self._pieces[bisect_right(self._pieces, t, key=lambda p: p[0]) - 1]
+        return b + s * t
 
-    def pieces(self):
-        """Piece list (t_start, (slope, intercept)) equivalent to self."""
-        out = []
-        for (t0, v0), (t1, v1) in zip(self.breakpoints, self.breakpoints[1:]):
-            slope = (v1 - v0) / (t1 - t0)
-            out.append((t0, (slope, v0 - slope * t0)))
-        return out
+    def pieces(self) -> tuple:
+        """The stored piece list (t_start, (slope, intercept))."""
+        return self._pieces
 
     def slopes(self):
-        return tuple(line[0] for _, line in self.pieces())
+        return tuple(s for _, (s, _) in self._pieces)
 
     def scale(self, c) -> "PLFunction":
         c = Fraction(c)
-        return PLFunction(tuple((t, c * v) for t, v in self.breakpoints))
+        return PLFunction(tuple((t, (c * s, c * b)) for t, (s, b) in self._pieces))

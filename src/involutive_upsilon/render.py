@@ -18,11 +18,10 @@ UPSILON_LABELS = {
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))  # "n" or "n/d"
 
 
-def _format_linear(slope: Fraction, intercept: Fraction) -> str:
+def _format_linear(slope, intercept) -> str:
     if slope == 0:
         return format_rational(intercept)
     if slope == 1:
@@ -45,13 +44,11 @@ def _format_linear(slope: Fraction, intercept: Fraction) -> str:
 
 def format_plfunction(f: PLFunction) -> str:
     """Piecewise formula text, e.g. "-6t on [0,2/3]; -4 on [2/3,2]"."""
-    parts = []
     pieces = f.pieces()
-    for i, (t0, (slope, intercept)) in enumerate(pieces):
-        t1 = pieces[i + 1][0] if i + 1 < len(pieces) else Fraction(2)
-        parts.append(f"{_format_linear(slope, intercept)} on "
-                     f"[{format_rational(t0)},{format_rational(t1)}]")
-    return "; ".join(parts)
+    ends = [t for t, _ in pieces[1:]] + [2]
+    return "; ".join(f"{_format_linear(slope, intercept)} on "
+                     f"[{format_rational(t0)},{format_rational(t1)}]"
+                     for (t0, (slope, intercept)), t1 in zip(pieces, ends))
 
 
 def plfunction_csv(f: PLFunction) -> str:

@@ -5,7 +5,9 @@ generator is deg_t = (t/2) * Max + (1 - t/2) * Min, dropping by 1 per
 U power.  The level of a homology class is the minimum of deg_t over its
 cycle representatives; Upsilon is -2 times that level, computed exactly
 as a piecewise-linear function by a sweep over t that reduces the base
-cycle in filtration order once per breakpoint.
+cycle in filtration order once per breakpoint.  The sweep reads the
+complex's per-parity homology and emits the pieces (t_start, (slope,
+intercept)) with integer lines, which `PLFunction` stores as they are.
 
 Variants: CLASSIC applies the same weights verbatim to the (alg, Alex)
 pair of an unfolded complex (t/2 on Alex); FOLDED uses the grading-0
@@ -19,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import gf2
-from .complexes import BifilteredComplex, FiltrationMode, homology_data
+from .complexes import BifilteredComplex, FiltrationMode
 from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
 from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
@@ -35,7 +37,8 @@ class UpsilonVariant(Enum):
 def _upsilon_pieces(C: BifilteredComplex, grading: int):
     """Upsilon of the rank-1 tower class as a piece list, by a sweep over t.
 
-    Each coordinate (a U-translate of a generator) carries the integer line
+    Each coordinate (the translate U^u x living in the grading, for a
+    generator x of the grading's parity) carries the integer line
     -2 * (f1 - u) - t * (f2 - f1).  At a fixed t, order the coordinates so
     that the lowest value takes the highest bit; reducing the base cycle
     against the boundary basis, pivoting on the highest bit, leaves the
@@ -46,7 +49,7 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
     it change no coset element's leading coordinate.  Only coordinates in
     the support of the coset are ever looked at.
     """
-    coords, reps, boundaries = homology_data(C, grading)
+    indices, reps, boundaries = C.parity_homology(grading % 2)
     if len(reps) != 1:
         raise ValueError(
             f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
@@ -58,8 +61,8 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
     local = {c: k for k, c in enumerate(used)}
     lines = []
     for c in used:
-        u, gid = coords[c]
-        g = C.by_id[gid]
+        g = C.generators[indices[c]]
+        u = (g.grading - grading) // 2
         lines.append((-(g.f2 - g.f1), -2 * (g.f1 - u)))
     distinct = set(lines)
 

@@ -101,7 +101,7 @@ def check_t37_goldens(s: VerifySettings) -> str:
     C = staircase_from_steps(spec)
     upper = upsilon(C, UpsilonVariant.UPPER)
     lower = upsilon(C, UpsilonVariant.LOWER)
-    if upper != PLFunction(((0, 0), (Fraction(2, 3), -4), (2, -4))):
+    if upper != PLFunction.from_breakpoints(((0, 0), (Fraction(2, 3), -4), (2, -4))):
         raise CheckFailure(f"upper is {upper.breakpoints}")
     if lower != PLFunction.constant(-4):
         raise CheckFailure(f"lower is {lower.breakpoints}")
@@ -255,22 +255,24 @@ def check_order_independence(s: VerifySettings) -> str:
 
 
 def check_pl_normalization(s: VerifySettings) -> str:
-    knots = corpus_knots(35)[1:11]
-    for label, C in knots:
-        f = upsilon(C, UpsilonVariant.UPPER)
-        again = PLFunction(f.breakpoints)
-        if again.breakpoints != f.breakpoints:
-            raise CheckFailure(f"{label}: re-normalization changed breakpoints")
-        dense = []
-        pieces = f.pieces()
-        for i, (t0, line) in enumerate(pieces):
-            t1 = pieces[i + 1][0] if i + 1 < len(pieces) else Fraction(2)
-            dense.append((t0, f(t0)))
-            dense.append(((t0 + t1) / 2, f((t0 + t1) / 2)))
-        dense.append((Fraction(2), f(Fraction(2))))
-        if PLFunction(tuple(dense)) != f:
-            raise CheckFailure(f"{label}: inserting collinear points changed the function")
-    return f"normalization is a fixpoint on {len(knots)} functions"
+    count = 0
+    for label, C in corpus_knots(35):
+        for which in UpsilonVariant:
+            f = upsilon(C, which)
+            ts = [t for t, _ in f.breakpoints]
+            mids = [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
+            dense = sorted(f.breakpoints + tuple((t, f(t)) for t in mids))
+            split = sorted(f.pieces() + tuple((t, line) for t, (_, line)
+                                              in zip(mids, f.pieces())))
+            for how, g in (("breakpoints", PLFunction.from_breakpoints(f.breakpoints)),
+                           ("pieces", PLFunction.from_pieces(f.pieces())),
+                           ("collinear points", PLFunction.from_breakpoints(dense)),
+                           ("split pieces", PLFunction.from_pieces(split))):
+                if g != f:
+                    raise CheckFailure(f"{label} {which.value}: rebuilding from {how} "
+                                       f"changed the function")
+            count += 1
+    return f"normalization is a fixpoint on {count} functions"
 
 
 def check_v0(s: VerifySettings) -> str:

@@ -13,11 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from involutive_upsilon.complexes import u_window
-
 
 def window_setup(C, grading):
-    win = u_window(C, grading)
+    """Translates (u, id) of grading `grading`, and their positions.
+
+    U^u g has grading gr(g) - 2u, so g contributes exactly when gr(g) and
+    the grading have the same parity.
+    """
+    win = [((g.grading - grading) // 2, g.id) for g in C.generators
+           if (g.grading - grading) % 2 == 0]
     pos = {term: i for i, term in enumerate(win)}
     return win, pos
 

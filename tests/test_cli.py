@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from involutive_upsilon import BifilteredComplex, loads_complex
-from involutive_upsilon.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
+from involutive_upsilon.cli import (EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                                     KnotSpecError, main, parse_knot_spec)
 from involutive_upsilon.staircase import Sign
 
@@ -189,6 +189,28 @@ def test_dump_complex_idempotent_bytes(capsys):
     from involutive_upsilon import dumps_complex
     C, inv = loads_complex(out)
     assert dumps_complex(C, inv) == out
+
+
+@pytest.mark.parametrize("command", ["compute", "dump-complex"])
+@pytest.mark.parametrize("knot, code, fragment", [
+    ("torus:2,4", EXIT_PARSE, "coprime"),
+    ("steps:+:1,x", EXIT_PARSE, "position 10"),
+    ("file:/nope/missing.json", EXIT_IO, "missing.json"),
+])
+def test_error_exit_codes(capsys, command, knot, code, fragment):
+    got, out, err = run_cli(capsys, command, "--knot", knot)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+
+
+def test_dump_complex_error_exit_codes(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "dump-complex", "--knot", "steps:+:1,2",
+                             "--stage", "folded")
+    assert code == EXIT_PARSE and out == ""
+    assert err == "error: stage 'folded' needs an involution\n"
+    code, out, err = run_cli(capsys, "dump-complex", "--knot", "torus:2,3",
+                             "-o", str(tmp_path / "no-such-dir" / "c.json"))
+    assert code == EXIT_IO and out == "" and err.startswith("error: ")
 
 
 def test_verify_quick(capsys):

@@ -1,15 +1,20 @@
-"""Fuzzing of the complex-file parser: whatever the input, `loads_complex`
-returns a complex or raises ValueError (which the CLI turns into exit 2).
+"""Fuzzing of complex files: whatever the input, `loads_complex` returns a
+complex or raises ValueError (which the CLI turns into exit 2), and
+`compute --knot file:PATH` ends with exit 0, 2 or 5, never an exception.
 
 Derandomized, without an example database, so every run checks the same
 inputs.
 """
 
+import contextlib
+import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from involutive_upsilon import loads_complex
+from involutive_upsilon.cli import main
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -55,3 +60,55 @@ def test_loads_complex_arbitrary_json(value):
 @given(documents)
 def test_loads_complex_complex_shaped_json(doc):
     parses_or_rejects(json.dumps(doc))
+
+
+@st.composite
+def knot_files(draw):
+    """Complex files with an involution that often pass validation.
+
+    A central generator c of grading 0 and f1 = f2 is fixed by the
+    involution.  Each further block is an arrow x -> z that drops the
+    grading by one and is filtered, with its copy y -> w of swapped
+    filtrations; the involution swaps x with y and z with w.  Random arrows
+    between blocks come with their swapped copy too, and one random
+    involution arrow is sometimes added.
+    """
+    levels = st.integers(-1, 1)
+    level = draw(levels)
+    gens, mate = {"c": (0, level, level)}, {"c": "c"}
+    arrows = set()
+    for i in range(draw(st.integers(0, 3))):
+        gr, f1, f2 = draw(st.sampled_from([0, 1])), draw(levels), draw(levels)
+        d1, d2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        gens.update({f"x{i}": (gr, f1, f2), f"y{i}": (gr, f2, f1),
+                     f"z{i}": (gr - 1, f1 - d1, f2 - d2), f"w{i}": (gr - 1, f2 - d2, f1 - d1)})
+        mate.update({f"x{i}": f"y{i}", f"y{i}": f"x{i}", f"z{i}": f"w{i}", f"w{i}": f"z{i}"})
+        arrows |= {(f"x{i}", f"z{i}"), (f"y{i}", f"w{i}")}
+    pairs = [(x, y) for x in gens for y in gens]
+    for x, y in pairs:
+        (gx, ax, bx), (gy, ay, by) = gens[x], gens[y]
+        if gy == gx - 1 and ay <= ax and by <= bx and draw(st.integers(0, 3)) == 0:
+            arrows |= {(x, y), (mate[x], mate[y])}
+    involution = set(mate.items())
+    if draw(st.integers(0, 7)) == 0:
+        involution.add(draw(st.sampled_from(pairs)))
+    return {"mode": draw(st.sampled_from(["ALG_ALEX"] * 4 + ["MIN_MAX"])),
+            "generators": [{"id": g, "gr": gr, "f1": f1, "f2": f2}
+                           for g, (gr, f1, f2) in gens.items()],
+            "differential": [{"from": x, "to": y} for x, y in sorted(arrows)],
+            "involution": [{"from": x, "to": y} for x, y in sorted(involution)]}
+
+
+@pytest.fixture(scope="module")
+def knot_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "knot.json"
+
+
+@FUZZ
+@given(knot_files() | documents, st.booleans())
+def test_compute_file_end_to_end(knot_path, doc, strip):
+    knot_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["compute", "--knot", f"file:{knot_path}"] + (["--strip-acyclic"] if strip else [])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 5)

@@ -73,7 +73,7 @@ def test_tower_witness_rejects_rank_two():
 def test_nu_t23_folded(t23):
     # both corners sit at folded bidegree (0, 1): nu(t) = t/2
     f = nu_function(fold(t23), 0)
-    assert f == PLFunction(((0, 0), (2, 1)))
+    assert f == PLFunction.from_breakpoints(((0, 0), (2, 1)))
 
 
 def test_nu_requires_folded(t23):
@@ -180,7 +180,7 @@ def test_large_coset_knots(steps):
 
 def test_upsilon_classic_t23(t23):
     f = upsilon(t23, UpsilonVariant.CLASSIC)
-    assert f == PLFunction(((0, 0), (1, -1), (2, 0)))
+    assert f == PLFunction.from_breakpoints(((0, 0), (1, -1), (2, 0)))
 
 
 def test_upsilon_unknot():
@@ -191,7 +191,7 @@ def test_upsilon_unknot():
 
 def test_upsilon_folded_t37(t37):
     f = upsilon(t37, UpsilonVariant.FOLDED)
-    assert f == PLFunction(((0, 0), (Fraction(2, 3), -4), (2, -4)))
+    assert f == PLFunction.from_breakpoints(((0, 0), (Fraction(2, 3), -4), (2, -4)))
 
 
 def test_upsilon_reduced_and_unreduced_agree(t25, t37):
@@ -259,7 +259,7 @@ def test_slope_bound(t37):
     assert slope_bound_check(upper, t37)
     assert slope_bound_check(lower, t37)
     assert slope_bound_check(PLFunction.constant(5), t37)
-    steep = PLFunction(((0, 0), (2, -16)))
+    steep = PLFunction.from_breakpoints(((0, 0), (2, -16)))
     assert not slope_bound_check(steep, t37)
 
 
