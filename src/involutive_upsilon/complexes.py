@@ -2,10 +2,13 @@
 
 A complex is stored as its U^0 slice: finitely many generators, each
 carrying a homological grading and a filtration bidegree, plus an F2
-differential with no U powers.  The full complex is the span of all
-U-translates of the generators; U lowers the grading by 2 and both
-filtration levels by 1.  Translates are never materialized as generators:
-a `Chain` names them as (u_power, id) terms.  The translates living in
+differential with no U powers, stored as integer adjacency over generator
+indices.  Ids are converted to and from indices only at the edge: the
+public constructor and the `arrows` view, `boundary` on `Chain`s, and the
+JSON functions.  The full complex is the span of all U-translates of the
+generators; U lowers the grading by 2 and both filtration levels by 1.
+Translates are never materialized as generators: a `Chain` names them as
+(u_power, id) terms.  The translates living in
 grading g are U^u x, u = (gr(x) - g) / 2, for the generators x of g's
 parity, so a complex computes homology once per parity (`parity_homology`).
 
@@ -73,62 +76,67 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BifilteredComplex:
     """U^0 slice of a bifiltered complex; immutable after construction.
 
-    `arrows` holds (x, y) pairs meaning y appears in the boundary of x.
-    Construction checks structural well-formedness only (unique ids, arrows
-    between known generators); the semantic invariants are checked by
-    `validate`, which reports violations as data.
+    The differential is integer adjacency: `targets[i]` is the sorted tuple
+    of the indices j such that generators[j] is in the boundary of
+    generators[i].  Every algorithm reads that form.  Ids are converted only
+    at the edge: the constructor takes (x, y) id pairs, meaning y appears in
+    the boundary of x, and checks structural well-formedness (unique ids,
+    arrows between known generators); `arrows` is the derived id-pair view.
+    Internal producers use `indexed`, which checks nothing.  The semantic
+    invariants are checked by `validate`, which reports violations as data.
     """
 
-    generators: tuple = ()
-    arrows: frozenset = frozenset()
-    mode: FiltrationMode = FiltrationMode.ALG_ALEX
+    generators: tuple
+    targets: tuple
+    mode: FiltrationMode
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "arrows", frozenset(self.arrows))
-        ids = [g.id for g in self.generators]
-        if len(set(ids)) != len(ids):
+    def __init__(self, generators=(), arrows=frozenset(), mode=FiltrationMode.ALG_ALEX):
+        generators = tuple(generators)
+        ids = [g.id for g in generators]
+        index = {gid: i for i, gid in enumerate(ids)}
+        if len(index) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate generator ids: {dup}")
-        known = set(ids)
-        for x, y in self.arrows:
-            if x not in known or y not in known:
+        targets = [[] for _ in ids]
+        for x, y in frozenset(arrows):
+            if x not in index or y not in index:
                 raise ValueError(f"differential entry ({x!r}, {y!r}) references unknown generator")
+            targets[index[x]].append(index[y])
+        self.__dict__.update(generators=generators, mode=mode, index=index,
+                             targets=tuple(tuple(sorted(ts)) for ts in targets))
 
-    @cached_property
-    def by_id(self) -> Mapping[str, Generator]:
-        return {g.id: g for g in self.generators}
+    @classmethod
+    def indexed(cls, generators: tuple, targets: tuple, mode: FiltrationMode):
+        """The index constructor: `targets` as stored, nothing checked."""
+        C = cls.__new__(cls)
+        C.__dict__.update(generators=generators, targets=targets, mode=mode)
+        return C
 
     @cached_property
     def index(self) -> Mapping[str, int]:
         return {g.id: i for i, g in enumerate(self.generators)}
 
     @cached_property
-    def _targets(self) -> Mapping[str, frozenset]:
-        out: dict[str, set] = {g.id: set() for g in self.generators}
-        for x, y in self.arrows:
-            out[x].add(y)
-        return {k: frozenset(v) for k, v in out.items()}
-
-    def targets_of(self, gid: str) -> frozenset:
-        return self._targets[gid]
+    def arrows(self) -> frozenset:
+        """The differential as (x, y) id pairs."""
+        ids = [g.id for g in self.generators]
+        return frozenset((ids[i], ids[j]) for i, ts in enumerate(self.targets) for j in ts)
 
     @cached_property
     def _parity_classes(self):
         """Per grading parity: its generator indices in generator order, and
         each one's boundary as a bitmask over the other class's positions."""
         classes = ([], [])
-        pos = {}
+        pos = []
         for i, g in enumerate(self.generators):
-            pos[g.id] = len(classes[g.grading % 2])
+            pos.append(len(classes[g.grading % 2]))
             classes[g.grading % 2].append(i)
-        columns = tuple(
-            [sum(1 << pos[t] for t in self._targets[self.generators[i].id]) for i in cls]
-            for cls in classes)
+        columns = tuple([sum(1 << pos[t] for t in self.targets[i]) for i in cls]
+                        for cls in classes)
         return classes, columns
 
     @cached_property
@@ -152,10 +160,6 @@ class BifilteredComplex:
             self._homology[parity] = (tuple(classes[parity]), reps, boundaries)
         return self._homology[parity]
 
-    def sorted_arrows(self) -> list[tuple[str, str]]:
-        idx = self.index
-        return sorted(self.arrows, key=lambda a: (idx[a[0]], idx[a[1]]))
-
     @property
     def n(self) -> int:
         return len(self.generators)
@@ -174,24 +178,24 @@ def validate(C: BifilteredComplex) -> ValidationReport:
     arrow lowers the grading by exactly 1), filtered (each arrow weakly
     lowers both filtration levels), min-max (f1 <= f2 in MIN_MAX mode).
     """
-    violations = []
-    for x, y in C.sorted_arrows():
-        gx, gy = C.by_id[x], C.by_id[y]
-        if gy.grading != gx.grading - 1:
-            violations.append(
-                ("grading-drop", f"{x}->{y}",
-                 f"grading {gx.grading} -> {gy.grading}, expected drop by 1"))
-        if gy.f1 > gx.f1 or gy.f2 > gx.f2:
-            violations.append(
-                ("filtered", f"{x}->{y}",
-                 f"bidegree {gx.bidegree} -> {gy.bidegree} is not non-increasing"))
-    for g in C.generators:
+    gens, violations = C.generators, []
+    for gx, ts in zip(gens, C.targets):
+        for gy in [gens[j] for j in ts]:
+            if gy.grading != gx.grading - 1:
+                violations.append(
+                    ("grading-drop", f"{gx.id}->{gy.id}",
+                     f"grading {gx.grading} -> {gy.grading}, expected drop by 1"))
+            if gy.f1 > gx.f1 or gy.f2 > gx.f2:
+                violations.append(
+                    ("filtered", f"{gx.id}->{gy.id}",
+                     f"bidegree {gx.bidegree} -> {gy.bidegree} is not non-increasing"))
+    for g, ts in zip(gens, C.targets):
         acc: set = set()
-        for t in C.targets_of(g.id):
-            acc ^= C.targets_of(t)
+        for t in ts:
+            acc.symmetric_difference_update(C.targets[t])
         if acc:
-            violations.append(
-                ("d-squared", g.id, f"boundary of boundary hits {sorted(acc)}"))
+            hits = sorted(gens[j].id for j in acc)
+            violations.append(("d-squared", g.id, f"boundary of boundary hits {hits}"))
         if C.mode is FiltrationMode.MIN_MAX and g.f1 > g.f2:
             violations.append(
                 ("min-max", g.id, f"bidegree {g.bidegree} has f1 > f2 in MIN_MAX mode"))
@@ -202,10 +206,10 @@ def boundary(C: BifilteredComplex, z: Chain) -> Chain:
     """Boundary of a chain, extended linearly and U-equivariantly."""
     acc: set = set()
     for u, gid in z.terms:
-        if gid not in C.by_id:
+        if gid not in C.index:
             raise ValueError(f"unknown generator id {gid!r}")
-        for t in C.targets_of(gid):
-            acc ^= {(u, t)}
+        acc.symmetric_difference_update(
+            (u, C.generators[t].id) for t in C.targets[C.index[gid]])
     return Chain(frozenset(acc))
 
 
@@ -226,21 +230,16 @@ def homology_rank(C: BifilteredComplex, grading: int) -> int:
 
 
 def direct_sum(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:
-    """Block-diagonal sum; ids are prefixed only if they would collide."""
+    """Block-diagonal sum: C2's indices are offset by C1.n, and ids are
+    prefixed "L."/"R." only if they would collide."""
     if C1.mode is not C2.mode:
         raise ValueError(f"filtration mode mismatch: {C1.mode.value} vs {C2.mode.value}")
-    ids1 = {g.id for g in C1.generators}
-    ids2 = {g.id for g in C2.generators}
-    if ids1 & ids2:
-        r1 = lambda s: f"L.{s}"
-        r2 = lambda s: f"R.{s}"
-    else:
-        r1 = r2 = lambda s: s
-    gens = [Generator(r1(g.id), g.grading, g.f1, g.f2) for g in C1.generators]
-    gens += [Generator(r2(g.id), g.grading, g.f1, g.f2) for g in C2.generators]
-    arrows = {(r1(x), r1(y)) for x, y in C1.arrows}
-    arrows |= {(r2(x), r2(y)) for x, y in C2.arrows}
-    return BifilteredComplex(tuple(gens), frozenset(arrows), C1.mode)
+    gens = C1.generators + C2.generators
+    if not C1.index.keys().isdisjoint(C2.index):
+        gens = tuple(Generator(f"{'L' if i < C1.n else 'R'}.{g.id}", g.grading, g.f1, g.f2)
+                     for i, g in enumerate(gens))
+    targets = C1.targets + tuple(tuple(C1.n + j for j in ts) for ts in C2.targets)
+    return BifilteredComplex.indexed(gens, targets, C1.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +260,14 @@ _EDGE_KEYS = {"from", "to"}
 
 
 def complex_to_dict(C: BifilteredComplex, involution=None) -> dict:
+    """The JSON dict; entries are in generator order, arrows by (from, to) index."""
+    gens = C.generators
     d = {
         "mode": C.mode.value,
         "generators": [{"id": g.id, "gr": g.grading, "f1": g.f1, "f2": g.f2}
-                       for g in C.generators],
-        "differential": [{"from": x, "to": y} for x, y in C.sorted_arrows()],
+                       for g in gens],
+        "differential": [{"from": g.id, "to": gens[j].id}
+                         for g, ts in zip(gens, C.targets) for j in ts],
     }
     if involution is not None:
         idx = C.index
@@ -328,7 +330,7 @@ def complex_from_dict(d: dict):
     if "involution" in d:
         involution = _edge_list(d["involution"], "involution")
         for x, y in involution:
-            if x not in C.by_id or y not in C.by_id:
+            if x not in C.index or y not in C.index:
                 raise ValueError(f"involution entry ({x!r}, {y!r}) references unknown generator")
     return C, involution
 

@@ -3,16 +3,17 @@ mapping cone.
 
 The involution swaps the two filtrations, so it only preserves bidegrees
 after folding: the cone is therefore always built on a MIN_MAX complex.
-Its generators are an A copy (gradings shifted up by 1) and a B copy of the
-input; the differential is the original one on each copy plus the block
-(involution + identity) from A to B.
+Its generators are an A copy (gradings shifted up by 1, index i) and a B
+copy (index n + i) of the input; the differential is the original one on
+each copy plus the block (involution + identity) from A to B.  Everything
+here reads integer adjacency: a complex's `targets` and a chain map's
+`images`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .complexes import BifilteredComplex, FiltrationMode, Generator
 
@@ -21,7 +22,8 @@ from .complexes import BifilteredComplex, FiltrationMode, Generator
 class ChainMap:
     """An F2 chain map given by its matrix on generators.
 
-    `arrows` holds (x, y) pairs meaning y appears in the image of x.
+    `arrows` holds (x, y) id pairs meaning y appears in the image of x;
+    `images` is its index view, which the algorithms read.
     """
 
     source: BifilteredComplex
@@ -31,20 +33,19 @@ class ChainMap:
     def __post_init__(self):
         object.__setattr__(self, "arrows", frozenset(self.arrows))
         for x, y in self.arrows:
-            if x not in self.source.by_id:
+            if x not in self.source.index:
                 raise ValueError(f"chain map source id {x!r} unknown")
-            if y not in self.target.by_id:
+            if y not in self.target.index:
                 raise ValueError(f"chain map target id {y!r} unknown")
 
     @cached_property
-    def _images(self) -> Mapping[str, frozenset]:
-        out: dict[str, set] = {g.id: set() for g in self.source.generators}
+    def images(self) -> tuple:
+        """images[i]: the sorted target indices in the image of source generator i."""
+        src, tgt = self.source.index, self.target.index
+        out = [[] for _ in self.source.generators]
         for x, y in self.arrows:
-            out[x].add(y)
-        return {k: frozenset(v) for k, v in out.items()}
-
-    def image_of(self, gid: str) -> frozenset:
-        return self._images[gid]
+            out[src[x]].append(tgt[y])
+        return tuple(tuple(sorted(ys)) for ys in out)
 
 
 def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
@@ -53,22 +54,23 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
     With skew=True the filtration check compares against the swapped
     bidegree of the source generator (the involution swaps filtrations).
     """
+    src, tgt, images = M.source, M.target, M.images
     out = []
     for x, y in sorted(M.arrows):
-        gx, gy = M.source.by_id[x], M.target.by_id[y]
+        gx, gy = src.generators[src.index[x]], tgt.generators[tgt.index[y]]
         if gy.grading != gx.grading:
             out.append(f"{x}->{y}: grading {gx.grading} -> {gy.grading} not preserved")
         bound = (gx.f2, gx.f1) if skew else (gx.f1, gx.f2)
         if gy.f1 > bound[0] or gy.f2 > bound[1]:
             kind = "skew-filtered" if skew else "filtered"
             out.append(f"{x}->{y}: bidegree {gy.bidegree} exceeds {bound}, not {kind}")
-    for g in M.source.generators:
+    for g, ts, ys in zip(src.generators, src.targets, images):
         lhs: set = set()
-        for t in M.source.targets_of(g.id):
-            lhs ^= M.image_of(t)
+        for t in ts:
+            lhs.symmetric_difference_update(images[t])
         rhs: set = set()
-        for y in M.image_of(g.id):
-            rhs ^= M.target.targets_of(y)
+        for y in ys:
+            rhs.symmetric_difference_update(tgt.targets[y])
         if lhs != rhs:
             out.append(f"{g.id}: does not commute with the differential")
     return out
@@ -77,11 +79,11 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
 def is_involution(M: ChainMap) -> bool:
     if M.source is not M.target and M.source != M.target:
         return False
-    for g in M.source.generators:
+    for i, ys in enumerate(M.images):
         acc: set = set()
-        for y in M.image_of(g.id):
-            acc ^= M.image_of(y)
-        if acc != {g.id}:
+        for y in ys:
+            acc.symmetric_difference_update(M.images[y])
+        if acc != {i}:
             return False
     return True
 
@@ -92,7 +94,7 @@ def fold(C: BifilteredComplex) -> BifilteredComplex:
         raise ValueError("complex is already folded")
     gens = tuple(Generator(g.id, g.grading, min(g.f1, g.f2), max(g.f1, g.f2))
                  for g in C.generators)
-    return BifilteredComplex(gens, C.arrows, FiltrationMode.MIN_MAX)
+    return BifilteredComplex.indexed(gens, C.targets, FiltrationMode.MIN_MAX)
 
 
 def fold_map(M: ChainMap) -> ChainMap:
@@ -131,7 +133,8 @@ def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
     """Cone of (involution + identity) over a folded complex.
 
     A-copy ids are prefixed "A.", B-copy ids "B.".  The boundary of an
-    A generator is its original boundary inside A plus (I + id) of it in B.
+    A generator i is its original boundary inside A plus (I + id)(i) in B,
+    offset by n.
     """
     if C.mode is not FiltrationMode.MIN_MAX:
         raise ValueError("mapping cone requires a folded (MIN_MAX) complex")
@@ -140,13 +143,10 @@ def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
     problems = chain_map_violations(I_map, skew=False)
     if problems:
         raise ValueError("involution is not a filtered chain map: " + "; ".join(problems))
-    gens = [Generator(f"A.{g.id}", g.grading + 1, g.f1, g.f2) for g in C.generators]
-    gens += [Generator(f"B.{g.id}", g.grading, g.f1, g.f2) for g in C.generators]
-    arrows = set()
-    for x, y in C.arrows:
-        arrows.add((f"A.{x}", f"A.{y}"))
-        arrows.add((f"B.{x}", f"B.{y}"))
-    for g in C.generators:
-        for y in I_map.image_of(g.id) ^ {g.id}:
-            arrows.add((f"A.{g.id}", f"B.{y}"))
-    return BifilteredComplex(tuple(gens), frozenset(arrows), FiltrationMode.MIN_MAX)
+    n = C.n
+    gens = tuple(Generator(f"A.{g.id}", g.grading + 1, g.f1, g.f2) for g in C.generators)
+    gens += tuple(Generator(f"B.{g.id}", g.grading, g.f1, g.f2) for g in C.generators)
+    targets = tuple(ts + tuple(n + y for y in sorted({*ys} ^ {i}))
+                    for i, (ts, ys) in enumerate(zip(C.targets, I_map.images)))
+    targets += tuple(tuple(n + t for t in ts) for ts in C.targets)
+    return BifilteredComplex.indexed(gens, targets, FiltrationMode.MIN_MAX)

@@ -3,9 +3,11 @@
 `reduce_bifiltered` repeatedly cancels differential entries between
 generators of identical bidegree; the result is reduced (every surviving
 entry strictly drops the bidegree somewhere), homology-preserving, and
-bifiltered homotopy equivalent to the input.  Cancellable entries wait in
-a heap that each elimination feeds with the entries it creates; the forward
-change-of-basis map `kept_of` is replayed from the step log on request.
+bifiltered homotopy equivalent to the input.  It works on generator
+indices: cancellable entries wait in a heap that each elimination feeds
+with the entries it creates, and the step log holds indices; ids are read
+only by `eliminated_pairs` and by `kept_of`, the forward change-of-basis
+map, which is replayed from the log on request.
 
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
@@ -28,7 +30,8 @@ from .staircase import Sign, StaircaseSpec, classify, staircase_complex, stairca
 @dataclass(frozen=True)
 class ReductionResult:
     """The reduced complex and its step log: (x, y, rho) cancelled the entry
-    x -> y, where rho was the rest of the boundary of x at that moment."""
+    x -> y, where rho was the rest of the boundary of x at that moment; all
+    three are indices into `source.generators`."""
 
     source: BifilteredComplex
     reduced: BifilteredComplex
@@ -36,20 +39,24 @@ class ReductionResult:
 
     @property
     def eliminated_pairs(self) -> tuple:
-        return tuple((x, y) for x, y, _ in self.steps)
+        """The cancelled entries as (x, y) id pairs, in order."""
+        gens = self.source.generators
+        return tuple((gens[x].id, gens[y].id) for x, y, _ in self.steps)
 
     @cached_property
     def kept_of(self) -> Mapping[str, Chain]:
-        """Image of each source generator in `reduced`, replayed backwards:
-        a cancelled x maps to 0 and a cancelled y to the image of its rho."""
-        image = {g.id: frozenset((g.id,)) for g in self.reduced.generators}
+        """Image of each source generator id in `reduced`, replayed backwards:
+        a survivor maps to itself, a cancelled x to 0 and a cancelled y to
+        the image of its rho."""
+        gens = self.source.generators
+        image = [frozenset((i,)) for i in range(len(gens))]
         for x, y, rho in reversed(self.steps):
             image[x] = frozenset()
             image[y] = frozenset()
             for r in rho:
                 image[y] ^= image[r]
-        return {g.id: Chain(frozenset((0, t) for t in image[g.id]))
-                for g in self.source.generators}
+        return {g.id: Chain(frozenset((0, gens[t].id) for t in ts))
+                for g, ts in zip(gens, image)}
 
 
 def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
@@ -60,28 +67,26 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
     that is the same in every process.  The homology and all downstream
     invariants are order-independent.
     """
-    gens = {g.id: g for g in C.generators}
-    order = C.index
+    gens = C.generators
     salt = None if rng is None else rng.getrandbits(64)
-    cols: dict[str, set] = {g.id: set(C.targets_of(g.id)) for g in C.generators}
-    rows: dict[str, set] = {g.id: set() for g in C.generators}
+    cols = [set(ts) for ts in C.targets]  # None once a generator is cancelled
+    rows = [set() for _ in gens]
     heap: list = []
 
     def push(x, y):
         gx, gy = gens[x], gens[y]
         if gx.f1 == gy.f1 and gx.f2 == gy.f2:
-            i, j = order[x], order[y]
-            rank = (gx.grading, gx.f1, gx.f2, i, j) if salt is None else hash((salt, i, j))
+            rank = (gx.grading, gx.f1, gx.f2) if salt is None else hash((salt, x, y))
             heappush(heap, (rank, x, y))
 
-    for x, targets in cols.items():
+    for x, targets in enumerate(cols):
         for y in targets:
             rows[y].add(x)
             push(x, y)
     steps = []
     while heap:
         _, x, y = heappop(heap)
-        if x not in cols or y not in cols[x]:
+        if cols[x] is None or y not in cols[x]:
             continue  # a stale entry: x is gone or the entry was cancelled
         dx = frozenset(cols[x])
         # Gaussian elimination: every other source of y absorbs the boundary of x.
@@ -96,31 +101,29 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
                     cols[z].add(t)
                     rows[t].add(z)
                     push(z, t)
-        for gid in (x, y):
-            for t in cols[gid]:
-                rows[t].discard(gid)
-            for sgid in rows[gid]:
-                cols[sgid].discard(gid)
-        for gid in (x, y):
-            del cols[gid], rows[gid], gens[gid]
+        for g in (x, y):
+            for t in cols[g]:
+                rows[t].discard(g)
+            for s in rows[g]:
+                cols[s].discard(g)
+        cols[x] = rows[x] = cols[y] = rows[y] = None
         steps.append((x, y, dx - {y}))
 
-    survivors = tuple(g for g in C.generators if g.id in gens)
-    arrows = frozenset((x, y) for x, ts in cols.items() for y in ts)
-    reduced = BifilteredComplex(survivors, arrows, C.mode)
+    keep = [i for i, ts in enumerate(cols) if ts is not None]
+    new = {i: k for k, i in enumerate(keep)}
+    targets = tuple(tuple(sorted(new[t] for t in cols[i])) for i in keep)
+    reduced = BifilteredComplex.indexed(tuple(gens[i] for i in keep), targets, C.mode)
     return ReductionResult(C, reduced, tuple(steps))
 
 
 def is_reduced(C: BifilteredComplex) -> bool:
-    for x, y in C.arrows:
-        if C.by_id[x].bidegree == C.by_id[y].bidegree:
-            return False
-    return True
+    gens = C.generators
+    return all(g.bidegree != gens[j].bidegree for g, ts in zip(gens, C.targets) for j in ts)
 
 
 def connected_components(C: BifilteredComplex) -> list[tuple]:
-    """Generator ids grouped by arrow connectivity, in generator order."""
-    parent = {g.id: g.id for g in C.generators}
+    """Generator indices grouped by arrow connectivity, in generator order."""
+    parent = list(range(C.n))
 
     def find(a):
         while parent[a] != a:
@@ -128,22 +131,23 @@ def connected_components(C: BifilteredComplex) -> list[tuple]:
             a = parent[a]
         return a
 
-    for x, y in C.arrows:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    groups: dict[str, list] = {}
-    for g in C.generators:
-        groups.setdefault(find(g.id), []).append(g.id)
-    idx = C.index
-    return [tuple(ids) for ids in sorted(groups.values(), key=lambda ids: idx[ids[0]])]
+    for x, ts in enumerate(C.targets):
+        for y in ts:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+    groups: dict[int, list] = {}  # first seen at its least member, so in order
+    for i in range(C.n):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(group) for group in groups.values()]
 
 
-def subcomplex(C: BifilteredComplex, ids) -> BifilteredComplex:
-    keep = set(ids)
-    gens = tuple(g for g in C.generators if g.id in keep)
-    arrows = frozenset((x, y) for x, y in C.arrows if x in keep and y in keep)
-    return BifilteredComplex(gens, arrows, C.mode)
+def subcomplex(C: BifilteredComplex, indices) -> BifilteredComplex:
+    """The generators at the given indices, in generator order, and the
+    arrows between them."""
+    new = {i: k for k, i in enumerate(sorted(set(indices)))}
+    targets = tuple(tuple(new[t] for t in C.targets[i] if t in new) for i in new)
+    return BifilteredComplex.indexed(tuple(C.generators[i] for i in new), targets, C.mode)
 
 
 def is_acyclic(C: BifilteredComplex) -> bool:
@@ -207,5 +211,4 @@ def materialize_closed_form(out: ClosedFormOutput) -> BifilteredComplex:
     tail = staircase_complex(points, source_parity=1 if positive else 0,
                              mode=FiltrationMode.MIN_MAX, ids=ids)
     v0 = Generator("v0", out.v0_grading, *out.v0_bidegree)
-    return BifilteredComplex(tail.generators + (v0,), tail.arrows,
-                             FiltrationMode.MIN_MAX)
+    return BifilteredComplex.indexed(tail.generators + (v0,), tail.targets + ((),), tail.mode)

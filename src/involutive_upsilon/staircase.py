@@ -99,17 +99,13 @@ def staircase_complex(points, source_parity: int, mode=FiltrationMode.ALG_ALEX,
     """
     if ids is None:
         ids = [f"v{i}" for i in range(len(points))]
-    gens = []
-    arrows = set()
+    gens, targets = [], []
     for i, (f1, f2) in enumerate(points):
         is_source = i % 2 == source_parity
         gens.append(Generator(ids[i], 1 if is_source else 0, f1, f2))
-        if is_source:
-            if i > 0:
-                arrows.add((ids[i], ids[i - 1]))
-            if i + 1 < len(points):
-                arrows.add((ids[i], ids[i + 1]))
-    return BifilteredComplex(tuple(gens), frozenset(arrows), mode)
+        targets.append(tuple(j for j in (i - 1, i + 1)
+                             if is_source and 0 <= j < len(points)))
+    return BifilteredComplex.indexed(tuple(gens), tuple(targets), mode)
 
 
 def staircase_from_steps(spec: StaircaseSpec) -> BifilteredComplex:
@@ -138,8 +134,11 @@ def mirror(C: BifilteredComplex) -> BifilteredComplex:
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("mirror is defined on unfolded (ALG_ALEX) complexes")
     gens = tuple(Generator(g.id, -g.grading, -g.f1, -g.f2) for g in C.generators)
-    arrows = frozenset((y, x) for x, y in C.arrows)
-    return BifilteredComplex(gens, arrows, FiltrationMode.ALG_ALEX)
+    sources = [[] for _ in gens]
+    for i, ts in enumerate(C.targets):
+        for j in ts:
+            sources[j].append(i)
+    return BifilteredComplex.indexed(gens, tuple(map(tuple, sources)), FiltrationMode.ALG_ALEX)
 
 
 def classify(spec: StaircaseSpec) -> StaircaseClass:

@@ -217,12 +217,8 @@ def check_acyclic_invariance(s: VerifySettings) -> str:
             lo, hi = Z.grading_span()
             if any(homology_rank(Z, g) for g in range(lo, hi + 1)):
                 raise CheckFailure("summand is not acyclic")
-            S = direct_sum(C, Z)
-            pre = "L." if any(g.id in C.by_id for g in Z.generators) else ""
-            zp = "R." if pre else ""
-            arrows = {(f"{pre}{x}", f"{pre}{y}") for x, y in base_inv.arrows}
-            arrows |= {(f"{zp}{x}", f"{zp}{y}") for x, y in z_inv}
-            inv = ChainMap(S, S, frozenset(arrows))
+            S = direct_sum(C, Z)  # the box ids never collide with the knot's
+            inv = ChainMap(S, S, base_inv.arrows | z_inv)
             for w in UpsilonVariant:
                 if upsilon(S, w, inv) != base[w]:
                     raise CheckFailure(f"{label}: {w.value} changed after adding an acyclic box")

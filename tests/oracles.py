@@ -4,8 +4,8 @@ These deliberately avoid the production algorithms: homology by exhaustive
 subset enumeration, nu by direct minimisation over the whole representative
 coset at fixed t, nu on a padded window by its own elimination at fixed t,
 torus-knot steps from the semigroup gap description of the Alexander
-polynomial, and classic Upsilon of L-space knots from the corners of the
-staircase.
+polynomial, classic Upsilon of L-space knots from the corners of the
+staircase, and the closed form of classic Upsilon for T(p, p+1).
 """
 
 from __future__ import annotations
@@ -26,10 +26,18 @@ def window_setup(C, grading):
     return win, pos
 
 
-def _column(C, term, pos):
+def boundary_ids(C):
+    """The boundary of each generator id, read from the (x, y) id pairs."""
+    out = {g.id: set() for g in C.generators}
+    for x, y in C.arrows:
+        out[x].add(y)
+    return out
+
+
+def _column(targets, term, pos):
     u, gid = term
     m = 0
-    for t in C.targets_of(gid):
+    for t in targets[gid]:
         m |= 1 << pos[(u, t)]
     return m
 
@@ -41,8 +49,9 @@ def brute_homology(C, grading, max_dim=14):
     assert n <= max_dim, f"window of size {n} too large for the brute oracle"
     win_down, pos_down = window_setup(C, grading - 1)
     win_up, _ = window_setup(C, grading + 1)
-    down_cols = [_column(C, term, pos_down) for term in win]
-    up_cols = [_column(C, term, pos) for term in win_up]
+    targets = boundary_ids(C)
+    down_cols = [_column(targets, term, pos_down) for term in win]
+    up_cols = [_column(targets, term, pos) for term in win_up]
 
     cycles = set()
     for mask in range(1 << n):
@@ -78,7 +87,7 @@ def brute_nu_value(C, grading, t):
         for i in range(z.bit_length()):
             if z >> i & 1:
                 u, gid = win[i]
-                g = C.by_id[gid]
+                g = C.generators[C.index[gid]]
                 val = Fraction(t, 2) * (g.f2 - u) + (1 - Fraction(t, 2)) * (g.f1 - u)
                 worst = val if worst is None else max(worst, val)
         if worst is not None and (best is None or worst < best):
@@ -107,11 +116,12 @@ def padded_window(C, grading, pad=1):
     """
     win, index = window_setup(C, grading)
     coords = list(win)
+    targets = boundary_ids(C)
 
     def column(term):
         u, gid = term
         m = 0
-        for tgt in C.targets_of(gid):
+        for tgt in targets[gid]:
             if (u, tgt) not in index:
                 index[(u, tgt)] = len(coords)
                 coords.append((u, tgt))
@@ -128,7 +138,7 @@ def padded_window(C, grading, pad=1):
     _, pos_down = window_setup(C, grading - 1)
     down, cycles = {}, []
     for i, term in enumerate(win):
-        v, combo = _column(C, term, pos_down), 1 << i
+        v, combo = _column(targets, term, pos_down), 1 << i
         while v and v.bit_length() - 1 in down:
             dv, dc = down[v.bit_length() - 1]
             v, combo = v ^ dv, combo ^ dc
@@ -154,7 +164,7 @@ def padded_nu_value(C, window, t):
     element whose highest coordinate is lowest.
     """
     coords, base, boundaries = window
-    levels = [_level(C.by_id[gid], u, t) for u, gid in coords]
+    levels = [_level(C.generators[C.index[gid]], u, t) for u, gid in coords]
     order = sorted(range(len(coords)), key=levels.__getitem__)
     rank = {c: k for k, c in enumerate(order)}
 
@@ -176,7 +186,7 @@ def window_grid(C, coords):
     are such crossings is pinned down by its values there."""
     lines = set()
     for u, gid in coords:  # deg_t = (f1 - u) + (t / 2) * (f2 - f1)
-        g = C.by_id[gid]
+        g = C.generators[C.index[gid]]
         lines.add((g.f2 - g.f1, g.f1 - u))
     cuts = {Fraction(0), Fraction(2)}
     for (s1, b1), (s2, b2) in combinations(lines, 2):
@@ -232,3 +242,14 @@ def oss_classic_value(steps, t):
     t = Fraction(t)
     return -2 * min(t / 2 * alex + (1 - t / 2) * alg
                     for alg, alex in lspace_corners(steps))
+
+
+def torus_p_p1_value(p, t):
+    """Classic Upsilon at t of the torus knot T(p, p+1), in closed form.
+
+    Ozsvath-Stipsicz-Szabo (arXiv 1407.1795): on [2i/p, 2(i+1)/p] it is
+    -i(i+1) - p(p-1-2i) t/2.  The slopes grow with i, so it is convex.
+    """
+    t = Fraction(t)
+    i = min(int(t * p / 2), p - 1)  # the piece holding t; t = 2 is in the last
+    return -i * (i + 1) - Fraction(p * (p - 1 - 2 * i), 2) * t

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -172,13 +173,55 @@ def test_dump_complex_roundtrip(capsys, tmp_path):
     assert out2.splitlines()[1:] == out3.splitlines()[1:]  # same values
 
 
-def test_dump_complex_stages(capsys):
-    for stage, expect_n in (("base", 9), ("folded", 9), ("cone", 18), ("reduced", 10)):
-        code, out, _ = run_cli(capsys, "dump-complex", "--knot", "torus:3,7",
-                               "--stage", stage)
-        assert code == EXIT_OK
-        data = json.loads(out)
-        assert len(data["generators"]) == expect_n
+# A staircase plus a diagonal box whose ids are out of sorted order, so the
+# file order of generators, differential and involution is not the id order.
+UNSORTED_COMPLEX = {
+    "mode": "ALG_ALEX",
+    "generators": [{"id": i, "gr": g, "f1": a, "f2": b} for i, g, a, b in (
+        ("q", 1, 2, 1), ("z", 0, 0, 2), ("k", 1, 0, 0), ("b", 0, 2, 0),
+        ("a", 0, 1, 1), ("m", 1, 1, 2), ("c", 0, 0, 0))],
+    "differential": [{"from": x, "to": y} for x, y in (
+        ("m", "z"), ("m", "a"), ("q", "a"), ("q", "b"), ("k", "c"))],
+    "involution": [{"from": x, "to": y} for x, y in (
+        ("z", "b"), ("b", "z"), ("m", "q"), ("q", "m"), ("a", "a"), ("k", "k"),
+        ("c", "c"))],
+}
+
+# sha256 of the dump-complex output at each stage, recorded before complexes
+# stored their differential as integer adjacency: the order of generators,
+# differential and involution entries is part of the output.
+DUMP_GOLDENS = {
+    "torus:3,7": {
+        "base": ("07e6bf63247bc52b94112caaca9c2bd15e1ff2eac7fae52aff32ca3f037fb02c", 9),
+        "folded": ("a0ea6d2ed8403ddeea16c1885622c4104380f03f0b8dd30f543f80b3223aa640", 9),
+        "cone": ("81c37a52f573c951958e9cebb566bc7aecbde503dd77bafbbea9e03c63ef111f", 18),
+        "reduced": ("ec6ca8c76b5125c1159a3970062ccf38110525e414dc6dcb021803f89c7d924d", 10),
+    },
+    "-torus:3,7": {
+        "base": ("9d7e002eec54e7898a03bb7bd7fbbd520cedc91e5a7d0b2f5788712801789a0c", 9),
+        "folded": ("bafa31d5c1b085d4d72ce3187ded0b7c874325f419ac03eca848a74f6047d383", 9),
+        "cone": ("37a9fecfedc53dbce845a80e5d07f3ba84dabbdc32e0f6862e97a0b038fbd9d9", 18),
+        "reduced": ("b3538cf9e3fc04e4f63e93c3bcc2e77433472535027628e0120db1158cb247fb", 10),
+    },
+    "file": {
+        "base": ("db0febeb162cd0964235bd35f11d886278d28c2f88409ebe4ded5baffefae192", 7),
+        "folded": ("874aadd0f2d4bcea8e736172c5d4f70da3e4bfb62adf55da53016b0aadfa135d", 7),
+        "cone": ("ead8cb5dc1f5f3b91fc22d9ec7d734fb155740930f28cea00592733533a177e5", 14),
+        "reduced": ("bf07edbdaa1ff03ea9d42a2c6260b56fe74fe45248952aaf817108cf3f757d1a", 6),
+    },
+}
+
+
+def test_dump_complex_stages(capsys, tmp_path):
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(UNSORTED_COMPLEX))
+    for name, stages in DUMP_GOLDENS.items():
+        knot = f"file:{path}" if name == "file" else name
+        for stage, (sha, expect_n) in stages.items():
+            code, out, _ = run_cli(capsys, "dump-complex", "--knot", knot, "--stage", stage)
+            assert code == EXIT_OK
+            assert len(json.loads(out)["generators"]) == expect_n, (name, stage)
+            assert hashlib.sha256(out.encode()).hexdigest() == sha, (name, stage)
     code, out, _ = run_cli(capsys, "dump-complex", "--knot", "torus:3,7",
                            "--stage", "reduced", "--strip-acyclic")
     assert len(json.loads(out)["generators"]) == 6

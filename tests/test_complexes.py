@@ -162,7 +162,7 @@ def test_direct_sum_mode_mismatch(t23):
 def test_shift_grading_matches_cone_a_copy(t37):
     cone = t37_cone(t37)
     for g in t37.generators:
-        assert cone.by_id[f"A.{g.id}"].grading == g.grading + 1
+        assert cone.generators[cone.index[f"A.{g.id}"]].grading == g.grading + 1
 
 
 def test_json_roundtrip(t37):

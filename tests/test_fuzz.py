@@ -1,6 +1,8 @@
 """Fuzzing of complex files: whatever the input, `loads_complex` returns a
 complex or raises ValueError (which the CLI turns into exit 2), and
-`compute --knot file:PATH` ends with exit 0, 2 or 5, never an exception.
+`compute --knot file:PATH` and `dump-complex --knot file:PATH` at every
+stage end with exit 0, 2 or 5, never an exception.  A dump that succeeds
+parses back, and at the base stage it re-dumps to the same bytes.
 
 Derandomized, without an example database, so every run checks the same
 inputs.
@@ -13,7 +15,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involutive_upsilon import loads_complex
+from involutive_upsilon import dumps_complex, loads_complex
 from involutive_upsilon.cli import main
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -104,11 +106,19 @@ def knot_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "knot.json"
 
 
-@FUZZ
-@given(knot_files() | documents, st.booleans())
-def test_compute_file_end_to_end(knot_path, doc, strip):
+@settings(FUZZ, max_examples=300)  # compute still gets about 100
+@given(knot_files() | documents, st.booleans(),
+       st.sampled_from([None, "base", "folded", "cone", "reduced"]))
+def test_compute_file_end_to_end(knot_path, doc, strip, stage):
+    """`compute` when stage is None, else `dump-complex --stage stage`."""
     knot_path.write_text(json.dumps(doc), encoding="utf-8")
-    argv = ["compute", "--knot", f"file:{knot_path}"] + (["--strip-acyclic"] if strip else [])
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 2, 5)
+    command = ["compute"] if stage is None else ["dump-complex", "--stage", stage]
+    argv = command + ["--knot", f"file:{knot_path}"] + (["--strip-acyclic"] if strip else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 5)
+    if stage is not None and code == 0:
+        C, involution = loads_complex(out.getvalue())
+        if stage == "base":
+            assert dumps_complex(C, involution) == out.getvalue()

@@ -11,8 +11,8 @@ from involutive_upsilon.verify import symmetric_specs
 
 def test_fold_reflected_pair(t37):
     F = fold(t37)
-    assert F.by_id["v0"].bidegree == (0, 6)
-    assert F.by_id["v8"].bidegree == (0, 6)
+    assert F.generators[F.index["v0"]].bidegree == (0, 6)
+    assert F.generators[F.index["v8"]].bidegree == (0, 6)
     assert F.mode is FiltrationMode.MIN_MAX
     assert validate(F).ok
 
@@ -20,7 +20,7 @@ def test_fold_reflected_pair(t37):
 def test_fold_diagonal_fixed():
     C = BifilteredComplex((Generator("g", 0, 3, 3),), frozenset(),
                           FiltrationMode.ALG_ALEX)
-    assert fold(C).by_id["g"].bidegree == (3, 3)
+    assert fold(C).generators[0].bidegree == (3, 3)
 
 
 def test_fold_t25_half_plane(t25):
@@ -35,9 +35,10 @@ def test_fold_twice_rejected(t25):
 
 def test_reflection_t37(t37):
     M = staircase_involution(t37)
-    assert M.image_of("v0") == {"v8"}
-    assert M.image_of("v8") == {"v0"}
-    assert M.image_of("v4") == {"v4"}  # central generator is fixed
+    v = t37.index
+    assert M.images[v["v0"]] == (v["v8"],)
+    assert M.images[v["v8"]] == (v["v0"],)
+    assert M.images[v["v4"]] == (v["v4"],)  # central generator is fixed
     assert chain_map_violations(M, skew=True) == []
 
 

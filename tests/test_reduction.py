@@ -17,6 +17,8 @@ from involutive_upsilon.reduction import (connected_components,
 from involutive_upsilon.verify import symmetric_specs
 from involutive_upsilon.upsilon import upsilon_pair_from_cone
 
+from oracles import boundary_ids
+
 
 def cone_of(steps, sign=Sign.POSITIVE):
     C = staircase_from_steps(StaircaseSpec(steps, sign))
@@ -69,9 +71,10 @@ def assert_kept_of_is_a_chain_map(C, result):
     red = result.reduced
     for g in red.generators:
         assert result.kept_of[g.id] == Chain.of(g.id), g.id
+    targets = boundary_ids(C)
     for g in C.generators:
         lhs = Chain()
-        for t in C.targets_of(g.id):
+        for t in targets[g.id]:
             lhs ^= result.kept_of[t]
         assert lhs == boundary(red, result.kept_of[g.id]), g.id
 
@@ -136,7 +139,7 @@ def _change_basis(C: BifilteredComplex, rng: random.Random, moves: int):
     Each h has g's grading and a bidegree at most g's, so every move is a
     filtered isomorphism with a filtered inverse (itself).
     """
-    cols = {g.id: set(C.targets_of(g.id)) for g in C.generators}
+    cols = boundary_ids(C)
     for _ in range(moves):
         g = rng.choice(C.generators)
         below = [h.id for h in C.generators if h.id != g.id and h.grading == g.grading

@@ -15,7 +15,8 @@ from involutive_upsilon.upsilon import filtration_width
 from involutive_upsilon.verify import symmetric_specs
 
 from oracles import (brute_nu_value, oss_classic_value, padded_nu_value,
-                     padded_window, semigroup_torus_steps, window_grid)
+                     padded_window, semigroup_torus_steps, torus_p_p1_value,
+                     window_grid)
 
 GRID = [Fraction(j, 12) for j in range(25)]
 
@@ -176,6 +177,17 @@ def test_large_coset_knots(steps):
     assert v_up.denominator == v_low.denominator == 1
     for w in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
         assert slope_bound_check(f[w], C)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_classic_torus_p_p1_closed_form(p):
+    steps = semigroup_torus_steps(p, p + 1)
+    classic = upsilon(staircase_from_steps(StaircaseSpec(steps)), UpsilonVariant.CLASSIC)
+    # both oracles are convex: agreeing at the breakpoints and piece midpoints
+    # of the engine's function means agreeing everywhere
+    ts = {*breakpoints_and_midpoints(classic), *(Fraction(2 * i, p) for i in range(p + 1))}
+    for t in sorted(ts):
+        assert classic(t) == torus_p_p1_value(p, t) == oss_classic_value(steps, t), t
 
 
 def test_upsilon_classic_t23(t23):
