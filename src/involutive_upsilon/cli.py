@@ -12,6 +12,7 @@ mismatch, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,18 +186,12 @@ def compute_knot(recipe: KnotRecipe, invariants, engine: str, strip: bool):
         pair = _cone_pair(C, involution, engine, recipe, strip)
     out = {}
     for name in invariants:
-        if name == "classic":
-            out[name] = upsilon(C, UpsilonVariant.CLASSIC)
-        elif name == "folded":
-            out[name] = upsilon(C, UpsilonVariant.FOLDED)
-        elif name == "upper":
-            out[name] = pair[0]
-        elif name == "lower":
-            out[name] = pair[1]
+        if name in ("classic", "folded"):
+            out[name] = upsilon(C, UpsilonVariant(name))
         elif name == "v0":
-            up, low = pair
-            v_up, v_low = -up(Fraction(2)) / 2, -low(Fraction(2)) / 2
-            out[name] = (v_up, v_low)
+            out[name] = tuple(-f(Fraction(2)) / 2 for f in pair)
+        else:
+            out[name] = pair[0 if name == "upper" else 1]
     return out
 
 
@@ -273,18 +268,13 @@ def run(job: JobSpec, stdout=None) -> int:
 
 
 def _cmd_compute(args) -> int:
-    invariants = []
-    for chunk in args.invariant:
-        for name in chunk.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name not in INVARIANT_NAMES:
-                print(f"error: unknown invariant {name!r}; choose from "
-                      f"{', '.join(INVARIANT_NAMES)}", file=sys.stderr)
-                return EXIT_PARSE
-            if name not in invariants:
-                invariants.append(name)
+    names = [n.strip() for chunk in args.invariant for n in chunk.split(",") if n.strip()]
+    for name in names:
+        if name not in INVARIANT_NAMES:
+            print(f"error: unknown invariant {name!r}; choose from "
+                  f"{', '.join(INVARIANT_NAMES)}", file=sys.stderr)
+            return EXIT_PARSE
+    invariants = list(dict.fromkeys(names))  # first mention order, no repeats
     if not invariants:
         print("error: no invariants requested", file=sys.stderr)
         return EXIT_PARSE
@@ -381,22 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main reuses one; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     merged = []
-    skip = False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
+    for arg in argv:
         # let the documented mirror form `--knot -torus:p,q` through argparse
-        if arg == "--knot" and i + 1 < len(argv) and argv[i + 1].startswith("-torus:"):
-            merged.append(f"--knot={argv[i + 1]}")
-            skip = True
+        if merged and merged[-1] == "--knot" and arg.startswith("-torus:"):
+            merged[-1] = f"--knot={arg}"
         else:
             merged.append(arg)
-    args = build_parser().parse_args(merged)
+    args = _parser().parse_args(merged)
     if getattr(args, "invariant", "missing") is None:
         args.invariant = [",".join(INVARIANT_NAMES)]
     return args.func(args)

@@ -4,11 +4,11 @@ A complex is stored as its U^0 slice: finitely many generators, each
 carrying a homological grading and a filtration bidegree, plus an F2
 differential with no U powers, stored as integer adjacency over generator
 indices.  Ids are converted to and from indices only at the edge: the
-public constructor and the `arrows` view, `boundary` on `Chain`s, and the
-JSON functions.  The full complex is the span of all U-translates of the
-generators; U lowers the grading by 2 and both filtration levels by 1.
-Translates are never materialized as generators: a `Chain` names them as
-(u_power, id) terms.  The translates living in
+public constructor (through `adjacency`) and the `arrows` view, `boundary`
+on `Chain`s, and the JSON functions.  The full complex is the span of all
+U-translates of the generators; U lowers the grading by 2 and both
+filtration levels by 1.  Translates are never materialized as generators:
+a `Chain` names them as (u_power, id) terms.  The translates living in
 grading g are U^u x, u = (gr(x) - g) / 2, for the generators x of g's
 parity, so a complex computes homology once per parity (`parity_homology`).
 
@@ -76,6 +76,19 @@ class ValidationReport:
         return not self.violations
 
 
+def adjacency(pairs, source_index: Mapping, target_index: Mapping):
+    """(x, y) id pairs as sorted index adjacency over the source, and the
+    least pair naming an unknown id (None if there is none).  The least,
+    not the first met, so the report does not depend on the hash seed."""
+    out, bad = [[] for _ in source_index], []
+    for x, y in frozenset(pairs):
+        if x in source_index and y in target_index:
+            out[source_index[x]].append(target_index[y])
+        else:
+            bad.append((x, y))
+    return tuple(tuple(sorted(ys)) for ys in out), min(bad, default=None)
+
+
 @dataclass(frozen=True, init=False)
 class BifilteredComplex:
     """U^0 slice of a bifiltered complex; immutable after construction.
@@ -101,13 +114,10 @@ class BifilteredComplex:
         if len(index) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate generator ids: {dup}")
-        targets = [[] for _ in ids]
-        for x, y in frozenset(arrows):
-            if x not in index or y not in index:
-                raise ValueError(f"differential entry ({x!r}, {y!r}) references unknown generator")
-            targets[index[x]].append(index[y])
-        self.__dict__.update(generators=generators, mode=mode, index=index,
-                             targets=tuple(tuple(sorted(ts)) for ts in targets))
+        targets, bad = adjacency(arrows, index, index)
+        if bad:
+            raise ValueError("differential entry (%r, %r) references unknown generator" % bad)
+        self.__dict__.update(generators=generators, mode=mode, index=index, targets=targets)
 
     @classmethod
     def indexed(cls, generators: tuple, targets: tuple, mode: FiltrationMode):
@@ -155,8 +165,8 @@ class BifilteredComplex:
         if parity not in self._homology:
             classes, columns = self._parity_classes
             cycles = gf2.kernel_basis(columns[parity])
-            boundaries = gf2.image_basis(columns[1 - parity])
-            reps = gf2.quotient_representatives(cycles, boundaries)
+            boundaries = gf2.independent(columns[1 - parity])
+            reps = gf2.independent(cycles, modulo=boundaries)
             self._homology[parity] = (tuple(classes[parity]), reps, boundaries)
         return self._homology[parity]
 
@@ -329,9 +339,9 @@ def complex_from_dict(d: dict):
     involution = None
     if "involution" in d:
         involution = _edge_list(d["involution"], "involution")
-        for x, y in involution:
-            if x not in C.index or y not in C.index:
-                raise ValueError(f"involution entry ({x!r}, {y!r}) references unknown generator")
+        bad = adjacency(involution, C.index, C.index)[1]
+        if bad:
+            raise ValueError("involution entry (%r, %r) references unknown generator" % bad)
     return C, involution
 
 

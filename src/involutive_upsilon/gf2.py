@@ -35,16 +35,6 @@ class Eliminator:
         return r
 
 
-def image_basis(columns) -> list[int]:
-    """Independent subset of the given columns (a basis of their span)."""
-    elim = Eliminator()
-    basis = []
-    for col in columns:
-        if elim.add(col):
-            basis.append(col)
-    return basis
-
-
 def kernel_basis(columns) -> list[int]:
     """Kernel of the map sending coordinate i to columns[i].
 
@@ -67,11 +57,8 @@ def kernel_basis(columns) -> list[int]:
     return kernel
 
 
-def quotient_representatives(cycles, boundaries) -> list[int]:
-    """Cycle vectors completing a boundary basis: representatives of H."""
-    elim = Eliminator(boundaries)
-    reps = []
-    for z in cycles:
-        if elim.add(z):
-            reps.append(z)
-    return reps
+def independent(vectors, modulo=()) -> list[int]:
+    """The vectors independent of `modulo` and of those kept before them:
+    a basis of their span, or representatives of a quotient by `modulo`."""
+    elim = Eliminator(modulo)
+    return [v for v in vectors if elim.add(v)]

@@ -7,7 +7,8 @@ Its generators are an A copy (gradings shifted up by 1, index i) and a B
 copy (index n + i) of the input; the differential is the original one on
 each copy plus the block (involution + identity) from A to B.  Everything
 here reads integer adjacency: a complex's `targets` and a chain map's
-`images`.
+`images`, the one form a `ChainMap` stores; ids are checked only by its
+public constructor and read only by its `arrows` view.
 """
 
 from __future__ import annotations
@@ -15,37 +16,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import BifilteredComplex, FiltrationMode, Generator
+from .complexes import BifilteredComplex, FiltrationMode, Generator, adjacency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChainMap:
-    """An F2 chain map given by its matrix on generators.
-
-    `arrows` holds (x, y) id pairs meaning y appears in the image of x;
-    `images` is its index view, which the algorithms read.
+    """An F2 chain map, stored as `images[i]`: the sorted target indices in
+    the image of source generator i.  The constructor takes and checks (x, y)
+    id pairs, y in the image of x, and `arrows` is that derived view;
+    internal producers use `indexed`, which checks nothing.
     """
 
     source: BifilteredComplex
     target: BifilteredComplex
-    arrows: frozenset
+    images: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", frozenset(self.arrows))
-        for x, y in self.arrows:
-            if x not in self.source.index:
-                raise ValueError(f"chain map source id {x!r} unknown")
-            if y not in self.target.index:
-                raise ValueError(f"chain map target id {y!r} unknown")
+    def __init__(self, source, target, arrows):
+        images, bad = adjacency(arrows, source.index, target.index)
+        if bad and bad[0] not in source.index:
+            raise ValueError(f"chain map source id {bad[0]!r} unknown")
+        if bad:
+            raise ValueError(f"chain map target id {bad[1]!r} unknown")
+        self.__dict__.update(source=source, target=target, images=images)
+
+    @classmethod
+    def indexed(cls, source: BifilteredComplex, target: BifilteredComplex, images: tuple):
+        """The index constructor: `images` as stored, nothing checked."""
+        M = cls.__new__(cls)
+        M.__dict__.update(source=source, target=target, images=images)
+        return M
 
     @cached_property
-    def images(self) -> tuple:
-        """images[i]: the sorted target indices in the image of source generator i."""
-        src, tgt = self.source.index, self.target.index
-        out = [[] for _ in self.source.generators]
-        for x, y in self.arrows:
-            out[src[x]].append(tgt[y])
-        return tuple(tuple(sorted(ys)) for ys in out)
+    def arrows(self) -> frozenset:
+        """The map as (x, y) id pairs."""
+        src, tgt = self.source.generators, self.target.generators
+        return frozenset((src[i].id, tgt[j].id) for i, ys in enumerate(self.images) for j in ys)
 
 
 def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
@@ -53,17 +58,23 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
 
     With skew=True the filtration check compares against the swapped
     bidegree of the source generator (the involution swaps filtrations).
+    Arrow problems come sorted by (x id, y id), then commutation problems
+    in generator order.
     """
     src, tgt, images = M.source, M.target, M.images
-    out = []
-    for x, y in sorted(M.arrows):
-        gx, gy = src.generators[src.index[x]], tgt.generators[tgt.index[y]]
-        if gy.grading != gx.grading:
-            out.append(f"{x}->{y}: grading {gx.grading} -> {gy.grading} not preserved")
+    kind = "skew-filtered" if skew else "filtered"
+    problems = []  # ((x id, y id), message), sorted before they are reported
+    for gx, ys in zip(src.generators, images):
         bound = (gx.f2, gx.f1) if skew else (gx.f1, gx.f2)
-        if gy.f1 > bound[0] or gy.f2 > bound[1]:
-            kind = "skew-filtered" if skew else "filtered"
-            out.append(f"{x}->{y}: bidegree {gy.bidegree} exceeds {bound}, not {kind}")
+        for gy in [tgt.generators[y] for y in ys]:
+            arrow = f"{gx.id}->{gy.id}"
+            if gy.grading != gx.grading:
+                problems.append(((gx.id, gy.id), f"{arrow}: grading {gx.grading} -> "
+                                 f"{gy.grading} not preserved"))
+            if gy.f1 > bound[0] or gy.f2 > bound[1]:
+                problems.append(((gx.id, gy.id), f"{arrow}: bidegree {gy.bidegree} "
+                                 f"exceeds {bound}, not {kind}"))
+    out = [msg for _, msg in sorted(problems, key=lambda p: p[0])]
     for g, ts, ys in zip(src.generators, src.targets, images):
         lhs: set = set()
         for t in ts:
@@ -98,7 +109,8 @@ def fold(C: BifilteredComplex) -> BifilteredComplex:
 
 
 def fold_map(M: ChainMap) -> ChainMap:
-    return ChainMap(fold(M.source), fold(M.target), M.arrows)
+    """The same matrix between the folded complexes (fold keeps indices)."""
+    return ChainMap.indexed(fold(M.source), fold(M.target), M.images)
 
 
 def staircase_involution(C: BifilteredComplex) -> ChainMap:
@@ -111,16 +123,16 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("involution matching needs an unfolded (ALG_ALEX) complex")
     lookup: dict[tuple, list] = {}
-    for g in C.generators:
-        lookup.setdefault((g.grading, g.f1, g.f2), []).append(g.id)
-    arrows = set()
+    for i, g in enumerate(C.generators):
+        lookup.setdefault((g.grading, g.f1, g.f2), []).append(i)
+    images = []
     for g in C.generators:
         partners = lookup.get((g.grading, g.f2, g.f1), [])
         if len(partners) != 1:
             raise ValueError(
                 f"no unique reflection partner for {g.id} at {g.bidegree}: complex is not a symmetric staircase")
-        arrows.add((g.id, partners[0]))
-    M = ChainMap(C, C, frozenset(arrows))
+        images.append(tuple(partners))
+    M = ChainMap.indexed(C, C, tuple(images))
     problems = chain_map_violations(M, skew=True)
     if problems:
         raise ValueError("reflection is not a skew chain map: " + "; ".join(problems))

@@ -5,9 +5,9 @@ generators of identical bidegree; the result is reduced (every surviving
 entry strictly drops the bidegree somewhere), homology-preserving, and
 bifiltered homotopy equivalent to the input.  It works on generator
 indices: cancellable entries wait in a heap that each elimination feeds
-with the entries it creates, and the step log holds indices; ids are read
-only by `eliminated_pairs` and by `kept_of`, the forward change-of-basis
-map, which is replayed from the log on request.
+with the entries it creates, and the step log holds indices.  Ids are read
+only by `eliminated_pairs`; `kept_of`, the forward change-of-basis chain
+map, is replayed from the log on request.
 
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Mapping
 
-from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
-                        homology_rank)
+from .complexes import BifilteredComplex, FiltrationMode, Generator, homology_rank
+from .involutive import ChainMap
 from .staircase import Sign, StaircaseSpec, classify, staircase_complex, staircase_points
 
 
@@ -44,19 +43,19 @@ class ReductionResult:
         return tuple((gens[x].id, gens[y].id) for x, y, _ in self.steps)
 
     @cached_property
-    def kept_of(self) -> Mapping[str, Chain]:
-        """Image of each source generator id in `reduced`, replayed backwards:
-        a survivor maps to itself, a cancelled x to 0 and a cancelled y to
-        the image of its rho."""
-        gens = self.source.generators
-        image = [frozenset((i,)) for i in range(len(gens))]
+    def kept_of(self) -> ChainMap:
+        """The chain map from `source` to `reduced`, replayed backwards: a
+        survivor maps to itself, a cancelled x to 0 and a cancelled y to the
+        image of its rho."""
+        image = [frozenset((i,)) for i in range(self.source.n)]
         for x, y, rho in reversed(self.steps):
-            image[x] = frozenset()
-            image[y] = frozenset()
+            image[x] = image[y] = frozenset()
             for r in rho:
                 image[y] ^= image[r]
-        return {g.id: Chain(frozenset((0, gens[t].id) for t in ts))
-                for g, ts in zip(gens, image)}
+        cancelled = {i for x, y, _ in self.steps for i in (x, y)}
+        new = {i: k for k, i in enumerate(i for i in range(self.source.n) if i not in cancelled)}
+        return ChainMap.indexed(self.source, self.reduced,
+                                tuple(tuple(sorted(new[i] for i in ys)) for ys in image))
 
 
 def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode
-from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
+from .involutive import ChainMap, fold, mapping_cone, staircase_involution
 from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
 
@@ -119,10 +119,14 @@ def upsilon_pair_from_cone(cone: BifilteredComplex):
 def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = None,
                     *, reduce_cone: bool = True,
                     strip: bool = False) -> BifilteredComplex:
-    """Fold, cone off (involution + identity), and optionally reduce."""
+    """Fold once, cone off (involution + identity), and optionally reduce.
+    Folding keeps indices, so the involution's `images` serve unchanged."""
     if involution is None:
         involution = staircase_involution(C_knot)
-    cone = mapping_cone(fold(C_knot), fold_map(involution))
+    elif involution.source != C_knot or involution.target != C_knot:
+        raise ValueError("involution must be a self map of the knot complex")
+    F = fold(C_knot)
+    cone = mapping_cone(F, ChainMap.indexed(F, F, involution.images))
     if reduce_cone:
         cone = reduce_bifiltered(cone).reduced
     if strip:

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -357,3 +361,50 @@ def test_compute_large_coset_torus(capsys):
     assert code == EXIT_OK
     assert len(out.splitlines()) == 6
     assert "V̅0 = 16, V̲0 = 16" in out
+
+
+def test_usage_errors_repeat_with_one_parser(capsys):
+    # main builds its argparse parser once per process and reuses it
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--knot", "torus:2,3", "--bogus"])
+        assert exc.value.code == EXIT_PARSE
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "unrecognized arguments: --bogus" in errors[0]
+    code, out, _ = run_cli(capsys, "compute", "--knot", "torus:2,3", "--invariant", "v0")
+    assert code == EXIT_OK and "V̅0 = 1, V̲0 = 1" in out
+
+
+# Unknown ids in a set of several: the report must name the least offending
+# pair, not the first one met in hash order.
+UNKNOWN_ID_GENERATORS = [{"id": "a", "gr": 1, "f1": 0, "f2": 0},
+                         {"id": "b", "gr": 0, "f1": 0, "f2": 0}]
+UNKNOWN_ID_PAIRS = [{"from": x, "to": y} for x, y in (("a", "zz1"), ("a", "zz2"), ("q", "b"))]
+
+
+def test_output_is_independent_of_the_hash_seed(tmp_path):
+    files = {"differential.json": {"differential": UNKNOWN_ID_PAIRS},
+             "involution.json": {"differential": [{"from": "a", "to": "b"}],
+                                 "involution": UNKNOWN_ID_PAIRS}}
+    for name, blocks in files.items():
+        doc = {"mode": "ALG_ALEX", "generators": UNKNOWN_ID_GENERATORS, **blocks}
+        (tmp_path / name).write_text(json.dumps(doc))
+    cases = [["compute", "--knot", f"file:{tmp_path / name}"] for name in files]
+    cases += [["compute", "--knot", "torus:3,7", "--output", "csv"],
+              ["dump-complex", "--knot", "-torus:3,7", "--stage", "reduced"]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = {}
+    for seed in ("0", "4"):  # these two seeds iterate the three pairs differently
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        procs = [subprocess.run([sys.executable, "-m", "involutive_upsilon.cli", *argv],
+                                cwd=cwd, env=env, capture_output=True, text=True)
+                 for argv in cases]
+        runs[seed] = [(p.returncode, p.stdout, p.stderr) for p in procs]
+        runs[seed].append(sorted((p.name, p.read_text()) for p in cwd.iterdir()))  # the CSVs
+    assert runs["0"] == runs["4"]
+    assert [code for code, _, _ in runs["0"][:4]] == [EXIT_PARSE, EXIT_PARSE, EXIT_OK, EXIT_OK]
+    assert "differential entry ('a', 'zz1') references unknown" in runs["0"][0][2]
+    assert "involution entry ('a', 'zz1') references unknown" in runs["0"][1][2]

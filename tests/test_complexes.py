@@ -68,6 +68,9 @@ def test_unknown_arrow_rejected():
     gens = (Generator("x", 0, 0, 0),)
     with pytest.raises(ValueError, match="unknown generator"):
         BifilteredComplex(gens, {("x", "nope")}, FiltrationMode.ALG_ALEX)
+    # of several, the least offending pair is reported
+    with pytest.raises(ValueError, match=r"\('x', 'a'\) references"):
+        BifilteredComplex(gens, {("y", "x"), ("x", "b"), ("x", "a")}, FiltrationMode.ALG_ALEX)
 
 
 def test_boundary_zero_chain(t37):

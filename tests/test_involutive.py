@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
 from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
-                                Generator, Sign, StaircaseSpec, fold, fold_map,
-                                homology_rank, mapping_cone,
+                                Generator, Sign, StaircaseSpec, dumps_complex,
+                                fold, fold_map, homology_rank, involutive_cone,
+                                loads_complex, mapping_cone,
                                 staircase_from_steps, staircase_involution,
                                 steps_from_torus_knot, unknot_complex, validate)
+from involutive_upsilon.cli import build_knot, parse_knot_spec
 from involutive_upsilon.involutive import chain_map_violations, is_involution
 from involutive_upsilon.verify import symmetric_specs
 
@@ -106,3 +110,46 @@ def test_chain_map_violation_reports():
     not_chain = ChainMap(F, F, frozenset({("v0", "v2"), ("v2", "v0")} |
                                          {("v1", "v0")}))
     assert any("commute" in v for v in chain_map_violations(not_chain))
+
+
+def test_cone_routes_agree(tmp_path):
+    """The traced route (fold the map separately) and `involutive_cone`
+    (fold once, reuse the involution's indices) dump the same cone."""
+    from test_cli import UNSORTED_COMPLEX
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(UNSORTED_COMPLEX))
+    for spec in ("torus:3,7", "-torus:3,7", f"file:{path}"):
+        C, M = build_knot(parse_knot_spec(spec))
+        assert ChainMap(C, C, M.arrows).images == M.images
+        assert fold_map(M).images is M.images
+        assert (dumps_complex(mapping_cone(fold(C), fold_map(M)))
+                == dumps_complex(involutive_cone(C, M, reduce_cone=False))), spec
+
+
+def test_involutive_cone_rejects_a_map_on_another_complex(t25, t37):
+    with pytest.raises(ValueError, match="self map of the knot complex"):
+        involutive_cone(t37, staircase_involution(t25))
+
+
+def test_chain_map_violations_order():
+    """Arrow problems by (x id, y id), whatever the generator order, then
+    commutation problems in generator order (q, z, k, b, a, m, c)."""
+    from test_cli import UNSORTED_COMPLEX
+    C, _ = loads_complex(json.dumps(UNSORTED_COMPLEX))
+    M = ChainMap(C, C, {("q", "c"), ("b", "m"), ("a", "z"), ("b", "c"), ("q", "q")})
+    assert chain_map_violations(M, skew=True) == [
+        "a->z: bidegree (0, 2) exceeds (1, 1), not skew-filtered",
+        "b->m: grading 0 -> 1 not preserved",
+        "b->m: bidegree (1, 2) exceeds (0, 2), not skew-filtered",
+        "q->c: grading 1 -> 0 not preserved",
+        "q->q: bidegree (2, 1) exceeds (1, 2), not skew-filtered",
+        "q: does not commute with the differential",
+        "b: does not commute with the differential",
+        "m: does not commute with the differential"]
+
+
+def test_chain_map_reports_the_least_unknown_id(t25):
+    with pytest.raises(ValueError, match="source id 'a' unknown"):
+        ChainMap(t25, t25, {("v0", "zz"), ("b", "v1"), ("a", "v0")})
+    with pytest.raises(ValueError, match="target id 'zz' unknown"):
+        ChainMap(t25, t25, {("v0", "zz"), ("v1", "ab"), ("v3", "a")})
