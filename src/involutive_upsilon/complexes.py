@@ -161,12 +161,19 @@ class BifilteredComplex:
         grading.  d maps U^u x to translates with the same u, so the kernel,
         the boundary basis and the representatives do not depend on which
         grading of the parity is asked for; they are built once.
+
+        Representatives by clearing: the kernel basis has one cycle per
+        leading bit, and when d^2 = 0 (true of every producer here and of
+        every file that passes `validate`) the cycles whose leading bit is
+        no boundary pivot are exactly those independent of the boundaries
+        and of the cycles before them.  No cycle is reduced.
         """
         if parity not in self._homology:
             classes, columns = self._parity_classes
             cycles = gf2.kernel_basis(columns[parity])
-            boundaries = gf2.independent(columns[1 - parity])
-            reps = gf2.independent(cycles, modulo=boundaries)
+            elim = gf2.Eliminator()
+            boundaries = [v for v in columns[1 - parity] if elim.add(v)]
+            reps = [z for z in cycles if z.bit_length() - 1 not in elim.pivots]
             self._homology[parity] = (tuple(classes[parity]), reps, boundaries)
         return self._homology[parity]
 
@@ -269,23 +276,6 @@ _GEN_KEYS = {"id", "gr", "f1", "f2"}
 _EDGE_KEYS = {"from", "to"}
 
 
-def complex_to_dict(C: BifilteredComplex, involution=None) -> dict:
-    """The JSON dict; entries are in generator order, arrows by (from, to) index."""
-    gens = C.generators
-    d = {
-        "mode": C.mode.value,
-        "generators": [{"id": g.id, "gr": g.grading, "f1": g.f1, "f2": g.f2}
-                       for g in gens],
-        "differential": [{"from": g.id, "to": gens[j].id}
-                         for g, ts in zip(gens, C.targets) for j in ts],
-    }
-    if involution is not None:
-        idx = C.index
-        pairs = sorted(involution, key=lambda a: (idx[a[0]], idx[a[1]]))
-        d["involution"] = [{"from": x, "to": y} for x, y in pairs]
-    return d
-
-
 def _check_keys(obj: dict, allowed: set, required: set, what: str):
     extra = set(obj) - allowed
     if extra:
@@ -339,14 +329,41 @@ def complex_from_dict(d: dict):
     involution = None
     if "involution" in d:
         involution = _edge_list(d["involution"], "involution")
-        bad = adjacency(involution, C.index, C.index)[1]
-        if bad:
-            raise ValueError("involution entry (%r, %r) references unknown generator" % bad)
+        _involution_rows(C, involution)
     return C, involution
 
 
+def _involution_rows(C: BifilteredComplex, involution) -> tuple:
+    """The involution's (x, y) id pairs as index adjacency over C."""
+    rows, bad = adjacency(involution, C.index, C.index)
+    if bad:
+        raise ValueError("involution entry (%r, %r) references unknown generator" % bad)
+    return rows
+
+
 def dumps_complex(C: BifilteredComplex, involution=None) -> str:
-    return json.dumps(complex_to_dict(C, involution), indent=2) + "\n"
+    """The JSON text in the layout of `json.dumps(..., indent=2)` plus a
+    newline, ids escaped by its ASCII routine; entries in generator order,
+    arrows by (from, to) index.  Written directly: with an indent json.dumps
+    runs its pure-Python encoder, which costs more than the cone it prints."""
+    quote = json.encoder.encode_basestring_ascii
+    ids = [quote(g.id) for g in C.generators]
+    gens = [f'    {{\n      "id": {s},\n      "gr": {g.grading},\n      "f1": {g.f1},'
+            f'\n      "f2": {g.f2}\n    }}' for s, g in zip(ids, C.generators)]
+    fields = [f'"mode": {quote(C.mode.value)}', f'"generators": {_block(gens)}',
+              f'"differential": {_block(_edges(ids, C.targets))}']
+    if involution is not None:
+        fields.append(f'"involution": {_block(_edges(ids, _involution_rows(C, involution)))}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+
+
+def _edges(ids, rows):
+    return [f'    {{\n      "from": {ids[i]},\n      "to": {ids[j]}\n    }}'
+            for i, js in enumerate(rows) for j in js]
+
+
+def _block(entries) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 def loads_complex(text: str):

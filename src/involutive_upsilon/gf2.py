@@ -38,7 +38,8 @@ class Eliminator:
 def kernel_basis(columns) -> list[int]:
     """Kernel of the map sending coordinate i to columns[i].
 
-    Returned masks live in the column-index space.
+    Returned masks live in the column-index space; each has a distinct
+    leading bit, the index of the column whose dependence it records.
     """
     pivots: dict[int, tuple[int, int]] = {}
     kernel = []
@@ -55,10 +56,3 @@ def kernel_basis(columns) -> list[int]:
         else:
             kernel.append(combo)
     return kernel
-
-
-def independent(vectors, modulo=()) -> list[int]:
-    """The vectors independent of `modulo` and of those kept before them:
-    a basis of their span, or representatives of a quotient by `modulo`."""
-    elim = Eliminator(modulo)
-    return [v for v in vectors if elim.add(v)]

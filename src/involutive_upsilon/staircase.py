@@ -182,6 +182,7 @@ def _poly_mul(a, b):
 
 def _poly_divexact(num, den):
     num = list(num)
+    terms = [(j, cd) for j, cd in enumerate(den) if cd]
     q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
         c = num[i + len(den) - 1]
@@ -189,7 +190,7 @@ def _poly_divexact(num, den):
             raise ValueError("inexact polynomial division")
         q[i] = c // den[-1]
         if q[i]:
-            for j, cd in enumerate(den):
+            for j, cd in terms:
                 num[i + j] -= q[i] * cd
     if any(num):
         raise ValueError("inexact polynomial division")

@@ -5,11 +5,13 @@ subset enumeration, nu by direct minimisation over the whole representative
 coset at fixed t, nu on a padded window by its own elimination at fixed t,
 torus-knot steps from the semigroup gap description of the Alexander
 polynomial, classic Upsilon of L-space knots from the corners of the
-staircase, and the closed form of classic Upsilon for T(p, p+1).
+staircase, the closed form of classic Upsilon for T(p, p+1), and the
+complex file text from the standard library's `json.dumps`.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -253,3 +255,22 @@ def torus_p_p1_value(p, t):
     t = Fraction(t)
     i = min(int(t * p / 2), p - 1)  # the piece holding t; t = 2 is in the last
     return -i * (i + 1) - Fraction(p * (p - 1 - 2 * i), 2) * t
+
+
+def json_dump(C, involution=None):
+    """The complex file text by `json.dumps(indent=2)` plus a newline: the
+    dict lists generators in generator order and arrows by the positions
+    of their (from, to) ids."""
+    pos = {g.id: i for i, g in enumerate(C.generators)}
+
+    def edges(pairs):
+        return [{"from": x, "to": y}
+                for x, y in sorted(pairs, key=lambda a: (pos[a[0]], pos[a[1]]))]
+
+    d = {"mode": C.mode.value,
+         "generators": [{"id": g.id, "gr": g.grading, "f1": g.f1, "f2": g.f2}
+                        for g in C.generators],
+         "differential": edges(C.arrows)}
+    if involution is not None:
+        d["involution"] = edges(involution)
+    return json.dumps(d, indent=2) + "\n"

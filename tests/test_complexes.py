@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from involutive_upsilon import (BifilteredComplex, Chain, FiltrationMode,
                                 Generator, boundary, direct_sum, dumps_complex,
@@ -10,7 +11,7 @@ from involutive_upsilon import (BifilteredComplex, Chain, FiltrationMode,
 from involutive_upsilon.complexes import homology_data
 from involutive_upsilon.involutive import staircase_involution, fold, fold_map, mapping_cone
 
-from oracles import brute_homology
+from oracles import brute_homology, json_dump
 
 
 def box(bidegree=(0, 0), grading=0, mode=FiltrationMode.ALG_ALEX):
@@ -175,6 +176,41 @@ def test_json_roundtrip(t37):
     assert C == t37
     assert arrows == inv.arrows
     assert dumps_complex(C, arrows) == text
+
+
+# ids that json escapes: non-ASCII (a lone surrogate too), quotes,
+# backslashes and control characters
+id_texts = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')
+                   | st.characters(), max_size=4)
+
+
+@st.composite
+def dumpable(draw):
+    """A complex of at most five generators, any arrows, and an involution
+    that is absent, empty or present."""
+    ids = draw(st.lists(id_texts, unique=True, max_size=5))
+    gens = tuple(Generator(g, *draw(st.tuples(st.integers(), st.integers(), st.integers())))
+                 for g in ids)
+    pairs = (st.frozensets(st.sampled_from([(x, y) for x in ids for y in ids]), max_size=6)
+             if ids else st.just(frozenset()))
+    C = BifilteredComplex(gens, draw(pairs), draw(st.sampled_from(FiltrationMode)))
+    return C, draw(st.none() | pairs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(dumpable())
+@example((BifilteredComplex(), None))
+@example((BifilteredComplex(), frozenset()))
+@example((BifilteredComplex((Generator("u", 0, 0, 0),)), frozenset()))
+@example((box(), frozenset({("x", "x"), ("y", "y")})))
+def test_dump_matches_json_dumps(case):
+    C, involution = case
+    assert dumps_complex(C, involution) == json_dump(C, involution)
+
+
+def test_dump_rejects_an_unknown_involution_id(t23):
+    with pytest.raises(ValueError, match=r"\('v0', 'zz'\) references unknown generator"):
+        dumps_complex(t23, {("zz", "v0"), ("v2", "v1"), ("v0", "zz"), ("v1", "v9")})
 
 
 def test_json_unknown_keys_rejected():

@@ -35,14 +35,14 @@ def test_torus_steps_goldens(p, q, steps):
 
 
 def test_torus_steps_match_semigroup_oracle():
-    for p in range(2, 8):
-        for q in range(p + 1, 31):
-            if p * q > 60 or math.gcd(p, q) != 1:
-                continue
-            spec = steps_from_torus_knot(p, q)
-            assert spec.steps == semigroup_torus_steps(p, q)
-            assert spec.symmetric
-            assert sum(spec.steps) == (p - 1) * (q - 1)
+    small = [(p, q) for p in range(2, 8) for q in range(p + 1, 31)
+             if p * q <= 60 and math.gcd(p, q) == 1]
+    # and the long torus knots of the reduce-long benchmark workload
+    for p, q in small + [(11, 60), (3, 200), (7, 101), (2, 301), (11, 81), (13, 70)]:
+        spec = steps_from_torus_knot(p, q)
+        assert spec.steps == semigroup_torus_steps(p, q)
+        assert spec.symmetric
+        assert sum(spec.steps) == (p - 1) * (q - 1)
 
 
 @pytest.mark.parametrize("p,q,msg", [
