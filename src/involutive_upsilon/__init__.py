@@ -8,8 +8,8 @@ functions together with the V0 invariants -- all in exact rational
 arithmetic.
 """
 
-from .complexes import (BifilteredComplex, Chain, FiltrationMode, Generator,
-                        ValidationReport, boundary, direct_sum, dumps_complex,
+from .complexes import (BifilteredComplex, FiltrationMode, Generator,
+                        ValidationReport, direct_sum, dumps_complex,
                         homology_rank, loads_complex, validate)
 from .involutive import ChainMap, fold, fold_map, mapping_cone, staircase_involution
 from .plfunction import PLFunction
@@ -27,10 +27,10 @@ from .verify import run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BifilteredComplex", "Chain", "ChainMap", "ClosedFormOutput",
+    "BifilteredComplex", "ChainMap", "ClosedFormOutput",
     "FiltrationMode", "Generator", "PLFunction", "Pointing",
     "ReductionResult", "Sign", "StaircaseClass", "StaircaseSpec",
-    "UpsilonVariant", "ValidationReport", "boundary", "classify",
+    "UpsilonVariant", "ValidationReport", "classify",
     "closed_form_cone_reduction", "direct_sum", "dumps_complex",
     "essential_signature", "fold", "fold_map", "homology_rank",
     "involutive_cone", "loads_complex", "mapping_cone",

@@ -4,11 +4,10 @@ A complex is stored as its U^0 slice: finitely many generators, each
 carrying a homological grading and a filtration bidegree, plus an F2
 differential with no U powers, stored as integer adjacency over generator
 indices.  Ids are converted to and from indices only at the edge: the
-public constructor (through `adjacency`) and the `arrows` view, `boundary`
-on `Chain`s, and the JSON functions.  The full complex is the span of all
-U-translates of the generators; U lowers the grading by 2 and both
-filtration levels by 1.  Translates are never materialized as generators:
-a `Chain` names them as (u_power, id) terms.  The translates living in
+public constructor (through `adjacency`) and the `arrows` view, and the
+JSON functions.  The full complex is the span of all U-translates of the
+generators; U lowers the grading by 2 and both filtration levels by 1.
+Translates are never materialized as generators.  The translates living in
 grading g are U^u x, u = (gr(x) - g) / 2, for the generators x of g's
 parity, so a complex computes homology once per parity (`parity_homology`).
 
@@ -44,27 +43,6 @@ class Generator:
     @property
     def bidegree(self) -> tuple[int, int]:
         return (self.f1, self.f2)
-
-
-@dataclass(frozen=True)
-class Chain:
-    """An F2 sum of U-translated generators: terms are (u_power, id) pairs."""
-
-    terms: frozenset = frozenset()
-
-    @classmethod
-    def of(cls, *ids: str, u: int = 0) -> "Chain":
-        return cls(frozenset((u, g) for g in ids))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __xor__(self, other: "Chain") -> "Chain":
-        return Chain(self.terms ^ other.terms)
-
-    def u_shift(self, k: int) -> "Chain":
-        return Chain(frozenset((u + k, g) for u, g in self.terms))
 
 
 @dataclass(frozen=True)
@@ -139,13 +117,15 @@ class BifilteredComplex:
     @cached_property
     def _parity_classes(self):
         """Per grading parity: its generator indices in generator order, and
-        each one's boundary as a bitmask over the other class's positions."""
+        each one's boundary as the tuple of the other class's positions it
+        hits, sorted because `targets` is and positions keep generator order
+        (in every complex whose arrows change parity, as `validate` asks)."""
         classes = ([], [])
         pos = []
         for i, g in enumerate(self.generators):
             pos.append(len(classes[g.grading % 2]))
             classes[g.grading % 2].append(i)
-        columns = tuple([sum(1 << pos[t] for t in self.targets[i]) for i in cls]
+        columns = tuple([tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
                         for cls in classes)
         return classes, columns
 
@@ -156,11 +136,15 @@ class BifilteredComplex:
     def parity_homology(self, parity: int):
         """(indices, reps, boundaries) shared by every grading of one parity.
 
-        `indices` are the generators of that parity in generator order; bit
-        k of a mask is the translate of generators[indices[k]] living in the
-        grading.  d maps U^u x to translates with the same u, so the kernel,
-        the boundary basis and the representatives do not depend on which
-        grading of the parity is asked for; they are built once.
+        `indices` are the generators of that parity in generator order, and
+        position k is the translate of generators[indices[k]] living in the
+        grading.  A rep is a mask with bit k for position k; a boundary is
+        the sorted tuple of its positions, the independent columns of d into
+        the grading as `_parity_classes` holds them.  Masks are built only
+        for the elimination.  d maps U^u x to translates with the same u, so
+        the kernel, the boundary basis and the representatives do not
+        depend on which grading of the parity is asked for; they are built
+        once.
 
         Representatives by clearing: the kernel basis has one cycle per
         leading bit, and when d^2 = 0 (true of every producer here and of
@@ -170,9 +154,9 @@ class BifilteredComplex:
         """
         if parity not in self._homology:
             classes, columns = self._parity_classes
-            cycles = gf2.kernel_basis(columns[parity])
+            cycles = gf2.kernel_basis(map(gf2.mask, columns[parity]))
             elim = gf2.Eliminator()
-            boundaries = [v for v in columns[1 - parity] if elim.add(v)]
+            boundaries = [col for col in columns[1 - parity] if elim.add(gf2.mask(col))]
             reps = [z for z in cycles if z.bit_length() - 1 not in elim.pivots]
             self._homology[parity] = (tuple(classes[parity]), reps, boundaries)
         return self._homology[parity]
@@ -219,22 +203,12 @@ def validate(C: BifilteredComplex) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def boundary(C: BifilteredComplex, z: Chain) -> Chain:
-    """Boundary of a chain, extended linearly and U-equivariantly."""
-    acc: set = set()
-    for u, gid in z.terms:
-        if gid not in C.index:
-            raise ValueError(f"unknown generator id {gid!r}")
-        acc.symmetric_difference_update(
-            (u, C.generators[t].id) for t in C.targets[C.index[gid]])
-    return Chain(frozenset(acc))
-
-
 def homology_data(C: BifilteredComplex, grading: int):
-    """Window, cycle reps and boundary basis for one grading (as masks).
+    """Window, cycle reps and boundary basis for one grading.
 
-    The window lists the translates (u, id) living in the grading; bit k of
-    a mask is the k-th of them.
+    The window lists the translates (u, id) living in the grading.  Reps are
+    masks, whose bit k is the k-th of them; boundaries are sorted tuples of
+    those positions k.
     """
     indices, reps, boundaries = C.parity_homology(grading % 2)
     window = [((C.generators[i].grading - grading) // 2, C.generators[i].id)

@@ -9,6 +9,11 @@ machine word per 64 coordinates.
 from __future__ import annotations
 
 
+def mask(positions) -> int:
+    """The vector with bit k set for each k of `positions` (distinct)."""
+    return sum(map((1).__lshift__, positions))
+
+
 class Eliminator:
     """Incremental row reduction, pivoting on the highest set bit."""
 

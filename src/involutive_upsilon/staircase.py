@@ -33,11 +33,6 @@ class Pointing(Enum):
     OUTWARD = "OUTWARD"
 
 
-class Parity(Enum):
-    EVEN = "EVEN"
-    ODD = "ODD"
-
-
 @dataclass(frozen=True)
 class StaircaseSpec:
     """A step-length list plus a sign.
@@ -63,10 +58,8 @@ class StaircaseSpec:
 
 @dataclass(frozen=True)
 class StaircaseClass:
-    symmetric: bool
     sign: Sign
     pointing: Pointing
-    k_parity: Parity
     s: int
     d: int
 
@@ -160,10 +153,8 @@ def classify(spec: StaircaseSpec) -> StaircaseClass:
     else:
         inward = n % 4 == 2
     return StaircaseClass(
-        symmetric=True,
         sign=spec.sign,
         pointing=Pointing.INWARD if inward else Pointing.OUTWARD,
-        k_parity=Parity.EVEN if k % 2 == 0 else Parity.ODD,
         s=s,
         d=d,
     )

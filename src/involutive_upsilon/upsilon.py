@@ -47,17 +47,16 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
     order just after t, so the same line stays the value until it crosses
     another coordinate's line: swaps between two lines on the same side of
     it change no coset element's leading coordinate.  Only coordinates in
-    the support of the coset are ever looked at.
+    the support of the coset are ever looked at.  The boundaries arrive as
+    position tuples and the base mask is read once, so the set-up is linear
+    in the arrows.
     """
     indices, reps, boundaries = C.parity_homology(grading % 2)
     if len(reps) != 1:
         raise ValueError(
             f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
-    base = reps[0]
-    support = base
-    for v in boundaries:
-        support |= v
-    used = [i for i in range(support.bit_length()) if support >> i & 1]
+    base = [c for c, b in enumerate(reversed(bin(reps[0]))) if b == "1"]
+    used = sorted(set(base).union(*boundaries))
     local = {c: k for k, c in enumerate(used)}
     lines = []
     for c in used:
@@ -65,12 +64,8 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
         u = (g.grading - grading) // 2
         lines.append((-(g.f2 - g.f1), -2 * (g.f1 - u)))
     distinct = set(lines)
-
-    def bits(mask):
-        return [local[i] for i in range(mask.bit_length()) if mask >> i & 1]
-
-    base_bits = bits(base)
-    boundary_bits = [bits(v) for v in boundaries]
+    base_bits = [local[c] for c in base]
+    boundary_bits = [[local[c] for c in v] for v in boundaries]
     n = len(used)
     pieces = []
     p, q = 0, 1  # the sweep position t = p / q

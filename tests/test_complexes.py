@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from involutive_upsilon import (BifilteredComplex, Chain, FiltrationMode,
-                                Generator, boundary, direct_sum, dumps_complex,
+from involutive_upsilon import (BifilteredComplex, FiltrationMode,
+                                Generator, direct_sum, dumps_complex,
                                 homology_rank, loads_complex, mirror,
                                 unknot_complex, validate)
 from involutive_upsilon.complexes import homology_data
@@ -74,25 +74,6 @@ def test_unknown_arrow_rejected():
         BifilteredComplex(gens, {("y", "x"), ("x", "b"), ("x", "a")}, FiltrationMode.ALG_ALEX)
 
 
-def test_boundary_zero_chain(t37):
-    assert boundary(t37, Chain()).is_zero
-
-
-def test_boundary_t23_connector(t23):
-    # b = v1 is the grading-1 connector; its boundary is the two corners
-    assert boundary(t23, Chain.of("v1")) == Chain.of("v0", "v2")
-
-
-def test_boundary_unknown_id(t23):
-    with pytest.raises(ValueError, match="unknown generator id"):
-        boundary(t23, Chain.of("v99"))
-
-
-def test_boundary_u_equivariance(t37):
-    z = Chain.of("v1", "v3")
-    assert boundary(t37, z.u_shift(2)) == boundary(t37, z).u_shift(2)
-
-
 def test_homology_unknot():
     C = unknot_complex()
     assert homology_rank(C, 0) == 1
@@ -108,6 +89,21 @@ def test_homology_t37_cone_towers(t37):
     cone = t37_cone(t37)
     assert homology_rank(cone, 0) == 1
     assert homology_rank(cone, 1) == 1
+
+
+@pytest.mark.parametrize("grading", [0, 1])
+def test_homology_boundaries_are_sorted_positions(t37, grading):
+    cone = t37_cone(t37)
+    window, _, boundaries = homology_data(cone, grading)
+    indices, _, same = cone.parity_homology(grading)
+    assert boundaries is same and boundaries and len(window) == len(indices)
+    columns = {cone.targets[j] for j, g in enumerate(cone.generators)
+               if g.grading % 2 != grading}
+    for b in boundaries:
+        assert isinstance(b, tuple) and list(b) == sorted(set(b))
+        # each position names a generator of this parity, and together they
+        # are the boundary of one generator of the other parity
+        assert tuple(indices[k] for k in b) in columns
 
 
 def test_homology_matches_brute_oracle(t23, t25):

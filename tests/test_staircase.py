@@ -7,7 +7,6 @@ from involutive_upsilon import (Pointing, Sign,
                                 homology_rank, mirror,
                                 staircase_from_steps, steps_from_torus_knot,
                                 unknot_complex, validate)
-from involutive_upsilon.staircase import Parity
 
 from oracles import semigroup_torus_steps
 
@@ -129,21 +128,18 @@ def test_mirror_requires_unfolded(t25):
 def test_classify_t37():
     cls = classify(StaircaseSpec((1, 2, 1, 2, 2, 1, 2, 1), Sign.POSITIVE))
     assert (cls.s, cls.d) == (6, 2)
-    assert cls.k_parity is Parity.EVEN
     assert cls.pointing is Pointing.INWARD  # length 8 is 0 mod 4
 
 
 def test_classify_t25():
     cls = classify(StaircaseSpec((1, 1, 1, 1), Sign.POSITIVE))
     assert (cls.s, cls.d) == (2, 1)
-    assert cls.k_parity is Parity.EVEN
     assert cls.pointing is Pointing.INWARD
 
 
 def test_classify_negative_t27():
     cls = classify(StaircaseSpec((1, 1, 1, 1, 1, 1), Sign.NEGATIVE))
     assert (cls.s, cls.d) == (3, 2)
-    assert cls.k_parity is Parity.ODD
     assert cls.pointing is Pointing.INWARD  # length 6 is 2 mod 4
 
 

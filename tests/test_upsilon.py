@@ -5,7 +5,8 @@ import pytest
 
 from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
                                 Generator, PLFunction, Sign, StaircaseSpec,
-                                UpsilonVariant, direct_sum, fold,
+                                UpsilonVariant, closed_form_cone_reduction,
+                                direct_sum, fold, materialize_closed_form,
                                 involutive_cone, mirror, nu_function,
                                 slope_bound_check, staircase_from_steps,
                                 staircase_involution, unknot_complex, upsilon, upsilon_pair_from_cone,
@@ -157,12 +158,18 @@ def test_nu_matches_brute_oracle_on_corpus(steps, sign):
     pytest.param(semigroup_torus_steps(5, 27), id="T(5,27)"),
     pytest.param(semigroup_torus_steps(7, 40), id="T(7,40)"),
     pytest.param((1, 2) * 60 + (2, 1) * 60, id="[1,2]*60+[2,1]*60"),
+    pytest.param((1, 2) * 1000 + (2, 1) * 1000, id="[1,2]*1000+[2,1]*1000"),
 ])
 def test_large_coset_knots(steps):
-    # classic and folded cosets of dimension 32, 68 and 120, cone cosets of
-    # 16, 34 and 60: far past what enumerating 2^dim elements can visit
-    C = staircase_from_steps(StaircaseSpec(steps, Sign.POSITIVE))
+    # classic and folded cosets of dimension 32, 68, 120 and 2000, cone
+    # cosets of 16, 34, 60 and 1000: far past what enumerating 2^dim
+    # elements can visit
+    spec = StaircaseSpec(steps, Sign.POSITIVE)
+    C = staircase_from_steps(spec)
     f = {w: upsilon(C, w) for w in UpsilonVariant}
+    closed = materialize_closed_form(closed_form_cone_reduction(spec))
+    assert upsilon_pair_from_cone(closed) == (f[UpsilonVariant.UPPER],
+                                              f[UpsilonVariant.LOWER])
     classic = f[UpsilonVariant.CLASSIC]
     # the oracle is convex, so agreeing with a PL function at its breakpoints
     # and piece midpoints means agreeing everywhere
@@ -292,7 +299,6 @@ def test_acyclic_summand_invariance(t25):
 
 
 def test_upsilon_pair_from_closed_form(t37):
-    from involutive_upsilon import closed_form_cone_reduction, materialize_closed_form
     closed = materialize_closed_form(
         closed_form_cone_reduction(StaircaseSpec((1, 2, 1, 2, 2, 1, 2, 1), Sign.POSITIVE)))
     upper, lower = upsilon_pair_from_cone(closed)
