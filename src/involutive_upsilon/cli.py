@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,6 @@ from pathlib import Path
 from .complexes import FiltrationMode, dumps_complex, loads_complex, validate
 from .involutive import ChainMap, chain_map_violations, fold, staircase_involution
 from .plfunction import PLFunction
-from .reduction import strip_acyclic
 from .render import (UPSILON_LABELS, format_plfunction, format_rational,
                      plfunction_csv, render_svg)
 from .staircase import Sign, StaircaseSpec, staircase_from_steps, steps_from_torus_knot
@@ -70,7 +70,7 @@ def _parse_int_list(text: str, base_pos: int, spec: str):
     out = []
     pos = base_pos
     for part in text.split(","):
-        if not part or not (part.isdigit() or (part[0] == "-" and part[1:].isdigit())):
+        if not re.fullmatch("-?[0-9]+", part):
             raise KnotSpecError(spec, pos, f"expected an integer, got {part!r}")
         out.append(int(part))
         pos += len(part) + 1
@@ -320,10 +320,9 @@ def _cmd_dump(args) -> int:
     elif stage == "folded":
         text = dumps_complex(fold(C), inv_arrows)
     else:
-        cone = involutive_cone(C, involution, reduce_cone=(stage == "reduced"))
-        if args.strip_acyclic and stage == "reduced":
-            cone = strip_acyclic(cone)
-        text = dumps_complex(cone)
+        reduced = stage == "reduced"
+        text = dumps_complex(involutive_cone(C, involution, reduce_cone=reduced,
+                                             strip=args.strip_acyclic and reduced))
     if args.output == "-":
         sys.stdout.write(text)
     else:

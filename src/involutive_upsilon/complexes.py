@@ -9,7 +9,8 @@ JSON functions.  The full complex is the span of all U-translates of the
 generators; U lowers the grading by 2 and both filtration levels by 1.
 Translates are never materialized as generators.  The translates living in
 grading g are U^u x, u = (gr(x) - g) / 2, for the generators x of g's
-parity, so a complex computes homology once per parity (`parity_homology`).
+parity, so a complex computes homology once per parity (`homology`), from
+one reduction of each parity class's columns.
 
 The bidegree (f1, f2) is read as (alg, Alex) in ALG_ALEX mode and as
 (Min, Max) in MIN_MAX mode; the complex records which reading is active.
@@ -115,51 +116,42 @@ class BifilteredComplex:
         return frozenset((ids[i], ids[j]) for i, ts in enumerate(self.targets) for j in ts)
 
     @cached_property
-    def _parity_classes(self):
-        """Per grading parity: its generator indices in generator order, and
-        each one's boundary as the tuple of the other class's positions it
-        hits, sorted because `targets` is and positions keep generator order
-        (in every complex whose arrows change parity, as `validate` asks)."""
-        classes = ([], [])
-        pos = []
-        for i, g in enumerate(self.generators):
-            pos.append(len(classes[g.grading % 2]))
-            classes[g.grading % 2].append(i)
-        columns = tuple([tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
-                        for cls in classes)
-        return classes, columns
-
-    @cached_property
-    def _homology(self) -> dict:
-        return {}
-
-    def parity_homology(self, parity: int):
-        """(indices, reps, boundaries) shared by every grading of one parity.
+    def homology(self) -> tuple:
+        """(indices, reps, boundaries) per grading parity, shared by every
+        grading of that parity: `homology[p]` for the gradings g with
+        g % 2 == p.
 
         `indices` are the generators of that parity in generator order, and
         position k is the translate of generators[indices[k]] living in the
-        grading.  A rep is a mask with bit k for position k; a boundary is
-        the sorted tuple of its positions, the independent columns of d into
-        the grading as `_parity_classes` holds them.  Masks are built only
-        for the elimination.  d maps U^u x to translates with the same u, so
-        the kernel, the boundary basis and the representatives do not
-        depend on which grading of the parity is asked for; they are built
-        once.
+        grading.  d maps U^u x to translates with the same u, so nothing
+        here depends on which grading of the parity is asked for.  A rep is
+        a mask with bit k for position k; a boundary is the sorted tuple of
+        its positions (sorted because `targets` is and positions keep
+        generator order), one per independent column of d into the grading.
 
-        Representatives by clearing: the kernel basis has one cycle per
-        leading bit, and when d^2 = 0 (true of every producer here and of
-        every file that passes `validate`) the cycles whose leading bit is
-        no boundary pivot are exactly those independent of the boundaries
-        and of the cycles before them.  No cycle is reduced.
+        Each parity class's columns are reduced once, and that serves both
+        parities: class p's columns are d out of parity p, so one reduction
+        gives its kernel, the cycles of parity p, and its independent
+        columns and pivots, the boundary basis of parity 1 - p.  Parity p's
+        representatives then come by clearing (Chen-Kerber): the kernel
+        basis has one cycle per leading bit, and when d^2 = 0 (true of every
+        producer here and of every file that passes `validate`) every
+        boundary is a cycle, so the cycles whose leading bit is not one of
+        class 1 - p's pivots are exactly those independent of the
+        boundaries and of the cycles before them.  No cycle is reduced, and
+        masks are built only for the reduction.
         """
-        if parity not in self._homology:
-            classes, columns = self._parity_classes
-            cycles = gf2.kernel_basis(map(gf2.mask, columns[parity]))
-            elim = gf2.Eliminator()
-            boundaries = [col for col in columns[1 - parity] if elim.add(gf2.mask(col))]
-            reps = [z for z in cycles if z.bit_length() - 1 not in elim.pivots]
-            self._homology[parity] = (tuple(classes[parity]), reps, boundaries)
-        return self._homology[parity]
+        classes, pos = ([], []), []
+        for i, g in enumerate(self.generators):
+            pos.append(len(classes[g.grading % 2]))
+            classes[g.grading % 2].append(i)
+        columns = [[tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
+                   for cls in classes]
+        kernels, pivots = zip(*(gf2.reduce_columns(map(gf2.mask, cols)) for cols in columns))
+        return tuple((tuple(classes[p]),
+                      [z for z in kernels[p] if z.bit_length() - 1 not in pivots[1 - p]],
+                      [columns[1 - p][j] for j in pivots[1 - p].values()])
+                     for p in (0, 1))
 
     @property
     def n(self) -> int:
@@ -210,14 +202,14 @@ def homology_data(C: BifilteredComplex, grading: int):
     masks, whose bit k is the k-th of them; boundaries are sorted tuples of
     those positions k.
     """
-    indices, reps, boundaries = C.parity_homology(grading % 2)
+    indices, reps, boundaries = C.homology[grading % 2]
     window = [((C.generators[i].grading - grading) // 2, C.generators[i].id)
               for i in indices]
     return window, reps, boundaries
 
 
 def homology_rank(C: BifilteredComplex, grading: int) -> int:
-    return len(C.parity_homology(grading % 2)[1])
+    return len(C.homology[grading % 2][1])
 
 
 def direct_sum(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComplex:

@@ -3,7 +3,9 @@
 Vectors are plain Python ints: bit i is coordinate i, and a row operation
 is one big-integer XOR.  Windows of long staircase cones reach a few
 thousand coordinates; dense bitmask rows stay exact there and cost one
-machine word per 64 coordinates.
+machine word per 64 coordinates.  `reduce_columns` reduces a complex's
+columns once for its homology; `Eliminator` serves the Upsilon sweep, which
+reduces the same boundaries again under each new bit order.
 """
 
 from __future__ import annotations
@@ -40,24 +42,29 @@ class Eliminator:
         return r
 
 
-def kernel_basis(columns) -> list[int]:
-    """Kernel of the map sending coordinate i to columns[i].
+def reduce_columns(columns) -> tuple[list[int], dict[int, int]]:
+    """Column reduction of the map sending coordinate i to columns[i].
 
-    Returned masks live in the column-index space; each has a distinct
-    leading bit, the index of the column whose dependence it records.
+    Returns the kernel and the pivots.  Kernel masks live in the
+    column-index space; each has a distinct leading bit, the index of the
+    column whose dependence it records.  The pivots map each leading bit of
+    the image to the index of the column that took it; columns go in order,
+    so those indices, the independent columns, come out ascending.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    rows: dict[int, tuple[int, int]] = {}
+    pivots: dict[int, int] = {}
     kernel = []
     for i, col in enumerate(columns):
         v, combo = col, 1 << i
         while v:
             hb = v.bit_length() - 1
-            if hb not in pivots:
-                pivots[hb] = (v, combo)
+            if hb not in rows:
+                rows[hb] = (v, combo)
+                pivots[hb] = i
                 break
-            pv, pc = pivots[hb]
+            pv, pc = rows[hb]
             v ^= pv
             combo ^= pc
         else:
             kernel.append(combo)
-    return kernel
+    return kernel, pivots

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .complexes import BifilteredComplex, FiltrationMode, Generator, homology_rank
+from .complexes import BifilteredComplex, FiltrationMode, Generator
 from .involutive import ChainMap
 from .staircase import Sign, StaircaseSpec, classify, staircase_complex, staircase_points
 
@@ -151,7 +151,7 @@ def subcomplex(C: BifilteredComplex, indices) -> BifilteredComplex:
 
 def is_acyclic(C: BifilteredComplex) -> bool:
     # U-localized homology is 2-periodic, so two consecutive gradings decide.
-    return C.n == 0 or (homology_rank(C, 0) == 0 and homology_rank(C, 1) == 0)
+    return not any(reps for _, reps, _ in C.homology)
 
 
 def strip_acyclic(C: BifilteredComplex) -> BifilteredComplex:

@@ -51,7 +51,7 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
     position tuples and the base mask is read once, so the set-up is linear
     in the arrows.
     """
-    indices, reps, boundaries = C.parity_homology(grading % 2)
+    indices, reps, boundaries = C.homology[grading % 2]
     if len(reps) != 1:
         raise ValueError(
             f"homology rank in grading {grading} is {len(reps)}, need exactly 1")

@@ -51,6 +51,8 @@ def test_parse_file():
     ("torus:a,b", "integer"),
     ("steps:*:1,1", "sign"),
     ("steps:+:1,x", "integer"),
+    ("steps:+:1,²", "integer"),
+    ("torus:٣,٧", "integer"),
     ("steps:+:0,1", "positive"),
     ("wave:1,2", "expected torus:"),
     ("file:", "empty file path"),

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from involutive_upsilon import (BifilteredComplex, FiltrationMode,
                                 Generator, direct_sum, dumps_complex,
-                                homology_rank, loads_complex, mirror,
-                                unknot_complex, validate)
+                                gf2, homology_rank, loads_complex, mirror,
+                                reduce_bifiltered, unknot_complex, validate)
 from involutive_upsilon.complexes import homology_data
 from involutive_upsilon.involutive import staircase_involution, fold, fold_map, mapping_cone
 
@@ -95,7 +95,7 @@ def test_homology_t37_cone_towers(t37):
 def test_homology_boundaries_are_sorted_positions(t37, grading):
     cone = t37_cone(t37)
     window, _, boundaries = homology_data(cone, grading)
-    indices, _, same = cone.parity_homology(grading)
+    indices, _, same = cone.homology[grading]
     assert boundaries is same and boundaries and len(window) == len(indices)
     columns = {cone.targets[j] for j, g in enumerate(cone.generators)
                if g.grading % 2 != grading}
@@ -107,10 +107,30 @@ def test_homology_boundaries_are_sorted_positions(t37, grading):
 
 
 def test_homology_matches_brute_oracle(t23, t25):
-    for C in (t23, t25, mirror(t25), unknot_complex()):
+    cone = mapping_cone(fold(t25), fold_map(staircase_involution(t25)))
+    for C in (t23, t25, mirror(t25), unknot_complex(), cone,
+              reduce_bifiltered(cone).reduced, direct_sum(t25, box((1, 0)))):
         for grading in (-1, 0, 1):
-            _, _, _, rank = brute_homology(C, grading)
+            win, cycles, brute_boundaries, rank = brute_homology(C, grading)
+            window, reps, boundaries = homology_data(C, grading)
             assert homology_rank(C, grading) == rank
+            # a basis of the boundary space: dependent columns would overcount
+            assert len(boundaries) == len(brute_boundaries).bit_length() - 1
+            for z in reps:
+                assert sum(1 << win.index(term) for k, term in enumerate(window)
+                           if z >> k & 1) in cycles
+
+
+def test_homology_reduces_each_parity_class_once(t37, monkeypatch):
+    cone = t37_cone(t37)
+    calls, mask = [], gf2.mask
+    monkeypatch.setattr(gf2, "mask", lambda positions: calls.append(1) or mask(positions))
+    lo, hi = cone.grading_span()
+    for g in range(lo, hi + 1):
+        homology_rank(cone, g)
+    homology_data(cone, 0)
+    homology_data(cone, 1)
+    assert len(calls) == cone.n
 
 
 def test_homology_ordering_invariance(t25):

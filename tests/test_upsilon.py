@@ -19,8 +19,6 @@ from oracles import (brute_nu_value, oss_classic_value, padded_nu_value,
                      padded_window, semigroup_torus_steps, torus_p_p1_value,
                      window_grid)
 
-GRID = [Fraction(j, 12) for j in range(25)]
-
 
 def single(f1, f2):
     """One folded generator at (Min, Max) = (f1, f2): nu is its deg_t."""
@@ -237,15 +235,6 @@ def test_upsilon_accepts_string_variant(t23):
     assert upsilon(t23, "classic") == upsilon(t23, UpsilonVariant.CLASSIC)
 
 
-def test_ordering_on_grid(t37, t25):
-    for C in (t37, t25, mirror(t37), unknot_complex()):
-        low = upsilon(C, UpsilonVariant.LOWER)
-        mid = upsilon(C, UpsilonVariant.FOLDED)
-        up = upsilon(C, UpsilonVariant.UPPER)
-        for t in GRID:
-            assert low(t) <= mid(t) <= up(t)
-
-
 def test_classic_mirror_negates():
     """Υ_{−K} = −Υ_K, for the mirrored complex and for the negative staircase."""
     for steps in symmetric_specs(6):
@@ -260,14 +249,6 @@ def test_v0_goldens(t37, t23):
     assert v0_invariants(t37) == (2, 2)
     assert v0_invariants(t23) == (1, 1)
     assert v0_invariants(unknot_complex()) == (0, 0)
-
-
-def test_v0_equals_upsilon_at_two(t25):
-    up = upsilon(t25, UpsilonVariant.UPPER)
-    low = upsilon(t25, UpsilonVariant.LOWER)
-    v_up, v_low = v0_invariants(t25)
-    assert v_up == -up(2) / 2
-    assert v_low == -low(2) / 2
 
 
 def test_slope_bound(t37):
