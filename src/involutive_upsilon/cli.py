@@ -72,7 +72,10 @@ def _parse_int_list(text: str, base_pos: int, spec: str):
     for part in text.split(","):
         if not re.fullmatch("-?[0-9]+", part):
             raise KnotSpecError(spec, pos, f"expected an integer, got {part!r}")
-        out.append(int(part))
+        try:
+            out.append(int(part))
+        except ValueError:  # more digits than int() converts
+            raise KnotSpecError(spec, pos, f"integer too long ({len(part)} characters)") from None
         pos += len(part) + 1
     return out
 

@@ -1,16 +1,16 @@
 """Finitely generated bifiltered chain complexes over F2.
 
-A complex is stored as its U^0 slice: finitely many generators, each
-carrying a homological grading and a filtration bidegree, plus an F2
-differential with no U powers, stored as integer adjacency over generator
-indices.  Ids are converted to and from indices only at the edge: the
-public constructor (through `adjacency`) and the `arrows` view, and the
-JSON functions.  The full complex is the span of all U-translates of the
-generators; U lowers the grading by 2 and both filtration levels by 1.
-Translates are never materialized as generators.  The translates living in
-grading g are U^u x, u = (gr(x) - g) / 2, for the generators x of g's
-parity, so a complex computes homology once per parity (`homology`), from
-one reduction of each parity class's columns.
+A complex is stored as its U^0 slice in columns: generator i has id
+`ids[i]`, grading `gradings[i]` and filtration bidegree (`f1[i]`, `f2[i]`),
+and the F2 differential, with no U powers, is integer adjacency over
+indices.  Records and ids meet indices only at the edge: the public
+constructor (through `adjacency`), the `generators` and `arrows` views,
+and the JSON functions.  The full complex is the span of all U-translates
+of the generators; U lowers the grading by 2 and both filtration levels by
+1.  Translates are never materialized as generators.  The translates
+living in grading g are U^u x, u = (gr(x) - g) / 2, for the generators x
+of g's parity, so a complex computes homology once per parity
+(`homology`), from one reduction of each parity class's columns.
 
 The bidegree (f1, f2) is read as (alg, Alex) in ALG_ALEX mode and as
 (Min, Max) in MIN_MAX mode; the complex records which reading is active.
@@ -41,10 +41,6 @@ class Generator:
     f1: int
     f2: int
 
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.f1, self.f2)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -72,23 +68,27 @@ def adjacency(pairs, source_index: Mapping, target_index: Mapping):
 class BifilteredComplex:
     """U^0 slice of a bifiltered complex; immutable after construction.
 
-    The differential is integer adjacency: `targets[i]` is the sorted tuple
-    of the indices j such that generators[j] is in the boundary of
-    generators[i].  Every algorithm reads that form.  Ids are converted only
-    at the edge: the constructor takes (x, y) id pairs, meaning y appears in
-    the boundary of x, and checks structural well-formedness (unique ids,
-    arrows between known generators); `arrows` is the derived id-pair view.
-    Internal producers use `indexed`, which checks nothing.  The semantic
-    invariants are checked by `validate`, which reports violations as data.
+    Generator i is entry i of the columns `ids`, `gradings`, `f1` and `f2`,
+    and `targets[i]` is the sorted tuple of the indices j such that
+    generator j is in the boundary of generator i.  Every algorithm reads
+    those tuples.  The constructor takes `Generator` records and (x, y) id
+    pairs, meaning y appears in the boundary of x, and checks structural
+    well-formedness (unique ids, arrows between known generators);
+    `generators` and `arrows` are the derived edge views.  Internal
+    producers use `indexed`, which checks nothing.  The semantic invariants
+    are checked by `validate`, which reports violations as data.
     """
 
-    generators: tuple
+    ids: tuple
+    gradings: tuple
+    f1: tuple
+    f2: tuple
     targets: tuple
     mode: FiltrationMode
 
     def __init__(self, generators=(), arrows=frozenset(), mode=FiltrationMode.ALG_ALEX):
         generators = tuple(generators)
-        ids = [g.id for g in generators]
+        ids = tuple(g.id for g in generators)
         index = {gid: i for i, gid in enumerate(ids)}
         if len(index) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -96,23 +96,32 @@ class BifilteredComplex:
         targets, bad = adjacency(arrows, index, index)
         if bad:
             raise ValueError("differential entry (%r, %r) references unknown generator" % bad)
-        self.__dict__.update(generators=generators, mode=mode, index=index, targets=targets)
+        self.__dict__.update(ids=ids, gradings=tuple(g.grading for g in generators),
+                             f1=tuple(g.f1 for g in generators),
+                             f2=tuple(g.f2 for g in generators),
+                             targets=targets, mode=mode, index=index)
 
     @classmethod
-    def indexed(cls, generators: tuple, targets: tuple, mode: FiltrationMode):
-        """The index constructor: `targets` as stored, nothing checked."""
+    def indexed(cls, ids: tuple, gradings: tuple, f1: tuple, f2: tuple, targets: tuple,
+                mode: FiltrationMode):
+        """The column constructor: every tuple as stored, nothing checked."""
         C = cls.__new__(cls)
-        C.__dict__.update(generators=generators, targets=targets, mode=mode)
+        C.__dict__.update(ids=ids, gradings=gradings, f1=f1, f2=f2, targets=targets, mode=mode)
         return C
 
     @cached_property
+    def generators(self) -> tuple:
+        """The columns as `Generator` records: an edge view no algorithm reads."""
+        return tuple(map(Generator, self.ids, self.gradings, self.f1, self.f2))
+
+    @cached_property
     def index(self) -> Mapping[str, int]:
-        return {g.id: i for i, g in enumerate(self.generators)}
+        return {gid: i for i, gid in enumerate(self.ids)}
 
     @cached_property
     def arrows(self) -> frozenset:
         """The differential as (x, y) id pairs."""
-        ids = [g.id for g in self.generators]
+        ids = self.ids
         return frozenset((ids[i], ids[j]) for i, ts in enumerate(self.targets) for j in ts)
 
     @cached_property
@@ -142,9 +151,9 @@ class BifilteredComplex:
         masks are built only for the reduction.
         """
         classes, pos = ([], []), []
-        for i, g in enumerate(self.generators):
-            pos.append(len(classes[g.grading % 2]))
-            classes[g.grading % 2].append(i)
+        for i, g in enumerate(self.gradings):
+            pos.append(len(classes[g % 2]))
+            classes[g % 2].append(i)
         columns = [[tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
                    for cls in classes]
         kernels, pivots = zip(*(gf2.reduce_columns(map(gf2.mask, cols)) for cols in columns))
@@ -155,13 +164,10 @@ class BifilteredComplex:
 
     @property
     def n(self) -> int:
-        return len(self.generators)
+        return len(self.ids)
 
     def grading_span(self) -> tuple[int, int]:
-        if not self.generators:
-            return (0, 0)
-        grs = [g.grading for g in self.generators]
-        return (min(grs), max(grs))
+        return (min(self.gradings), max(self.gradings)) if self.gradings else (0, 0)
 
 
 def validate(C: BifilteredComplex) -> ValidationReport:
@@ -171,27 +177,27 @@ def validate(C: BifilteredComplex) -> ValidationReport:
     arrow lowers the grading by exactly 1), filtered (each arrow weakly
     lowers both filtration levels), min-max (f1 <= f2 in MIN_MAX mode).
     """
-    gens, violations = C.generators, []
-    for gx, ts in zip(gens, C.targets):
-        for gy in [gens[j] for j in ts]:
-            if gy.grading != gx.grading - 1:
+    ids, gr, f1, f2, violations = C.ids, C.gradings, C.f1, C.f2, []
+    for x, ts in enumerate(C.targets):
+        for y in ts:
+            if gr[y] != gr[x] - 1:
                 violations.append(
-                    ("grading-drop", f"{gx.id}->{gy.id}",
-                     f"grading {gx.grading} -> {gy.grading}, expected drop by 1"))
-            if gy.f1 > gx.f1 or gy.f2 > gx.f2:
+                    ("grading-drop", f"{ids[x]}->{ids[y]}",
+                     f"grading {gr[x]} -> {gr[y]}, expected drop by 1"))
+            if f1[y] > f1[x] or f2[y] > f2[x]:
                 violations.append(
-                    ("filtered", f"{gx.id}->{gy.id}",
-                     f"bidegree {gx.bidegree} -> {gy.bidegree} is not non-increasing"))
-    for g, ts in zip(gens, C.targets):
+                    ("filtered", f"{ids[x]}->{ids[y]}",
+                     f"bidegree {(f1[x], f2[x])} -> {(f1[y], f2[y])} is not non-increasing"))
+    for x, ts in enumerate(C.targets):
         acc: set = set()
         for t in ts:
             acc.symmetric_difference_update(C.targets[t])
         if acc:
-            hits = sorted(gens[j].id for j in acc)
-            violations.append(("d-squared", g.id, f"boundary of boundary hits {hits}"))
-        if C.mode is FiltrationMode.MIN_MAX and g.f1 > g.f2:
+            hits = sorted(ids[j] for j in acc)
+            violations.append(("d-squared", ids[x], f"boundary of boundary hits {hits}"))
+        if C.mode is FiltrationMode.MIN_MAX and f1[x] > f2[x]:
             violations.append(
-                ("min-max", g.id, f"bidegree {g.bidegree} has f1 > f2 in MIN_MAX mode"))
+                ("min-max", ids[x], f"bidegree {(f1[x], f2[x])} has f1 > f2 in MIN_MAX mode"))
     return ValidationReport(tuple(violations))
 
 
@@ -203,8 +209,7 @@ def homology_data(C: BifilteredComplex, grading: int):
     those positions k.
     """
     indices, reps, boundaries = C.homology[grading % 2]
-    window = [((C.generators[i].grading - grading) // 2, C.generators[i].id)
-              for i in indices]
+    window = [((C.gradings[i] - grading) // 2, C.ids[i]) for i in indices]
     return window, reps, boundaries
 
 
@@ -217,12 +222,12 @@ def direct_sum(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComple
     prefixed "L."/"R." only if they would collide."""
     if C1.mode is not C2.mode:
         raise ValueError(f"filtration mode mismatch: {C1.mode.value} vs {C2.mode.value}")
-    gens = C1.generators + C2.generators
+    ids = C1.ids + C2.ids
     if not C1.index.keys().isdisjoint(C2.index):
-        gens = tuple(Generator(f"{'L' if i < C1.n else 'R'}.{g.id}", g.grading, g.f1, g.f2)
-                     for i, g in enumerate(gens))
+        ids = tuple(f"L.{s}" for s in C1.ids) + tuple(f"R.{s}" for s in C2.ids)
     targets = C1.targets + tuple(tuple(C1.n + j for j in ts) for ts in C2.targets)
-    return BifilteredComplex.indexed(gens, targets, C1.mode)
+    return BifilteredComplex.indexed(ids, C1.gradings + C2.gradings, C1.f1 + C2.f1,
+                                     C1.f2 + C2.f2, targets, C1.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +318,9 @@ def dumps_complex(C: BifilteredComplex, involution=None) -> str:
     arrows by (from, to) index.  Written directly: with an indent json.dumps
     runs its pure-Python encoder, which costs more than the cone it prints."""
     quote = json.encoder.encode_basestring_ascii
-    ids = [quote(g.id) for g in C.generators]
-    gens = [f'    {{\n      "id": {s},\n      "gr": {g.grading},\n      "f1": {g.f1},'
-            f'\n      "f2": {g.f2}\n    }}' for s, g in zip(ids, C.generators)]
+    ids = list(map(quote, C.ids))
+    gens = [f'    {{\n      "id": {s},\n      "gr": {g},\n      "f1": {a},'
+            f'\n      "f2": {b}\n    }}' for s, g, a, b in zip(ids, C.gradings, C.f1, C.f2)]
     fields = [f'"mode": {quote(C.mode.value)}', f'"generators": {_block(gens)}',
               f'"differential": {_block(_edges(ids, C.targets))}']
     if involution is not None:
@@ -335,8 +340,10 @@ def _block(entries) -> str:
 def loads_complex(text: str):
     """Parse a complex file; malformed input of any kind raises ValueError."""
     try:
-        return complex_from_dict(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON: {e}") from None
-    except RecursionError:
+        try:
+            d = json.loads(text)
+        except ValueError as e:  # malformed, or an integer longer than int() converts
+            raise ValueError(f"invalid JSON: {e}") from None
+        return complex_from_dict(d)
+    except RecursionError:  # in json, or in the repr of a value nested as deep
         raise ValueError("invalid JSON: nested too deeply") from None

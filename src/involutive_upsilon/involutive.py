@@ -6,9 +6,9 @@ after folding: the cone is therefore always built on a MIN_MAX complex.
 Its generators are an A copy (gradings shifted up by 1, index i) and a B
 copy (index n + i) of the input; the differential is the original one on
 each copy plus the block (involution + identity) from A to B.  Everything
-here reads integer adjacency: a complex's `targets` and a chain map's
-`images`, the one form a `ChainMap` stores; ids are checked only by its
-public constructor and read only by its `arrows` view.
+here reads a complex's columns, its `targets` and a chain map's `images`,
+the one form a `ChainMap` stores; ids are checked only by its public
+constructor and read only by its `arrows` view and by messages.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import BifilteredComplex, FiltrationMode, Generator, adjacency
+from .complexes import BifilteredComplex, FiltrationMode, adjacency
 
 
 @dataclass(frozen=True, init=False)
@@ -49,8 +49,8 @@ class ChainMap:
     @cached_property
     def arrows(self) -> frozenset:
         """The map as (x, y) id pairs."""
-        src, tgt = self.source.generators, self.target.generators
-        return frozenset((src[i].id, tgt[j].id) for i, ys in enumerate(self.images) for j in ys)
+        src, tgt = self.source.ids, self.target.ids
+        return frozenset((src[i], tgt[j]) for i, ys in enumerate(self.images) for j in ys)
 
 
 def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
@@ -63,19 +63,20 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
     """
     src, tgt, images = M.source, M.target, M.images
     kind = "skew-filtered" if skew else "filtered"
+    b1, b2 = (src.f2, src.f1) if skew else (src.f1, src.f2)
+    sid, tid = src.ids, tgt.ids
     problems = []  # ((x id, y id), message), sorted before they are reported
-    for gx, ys in zip(src.generators, images):
-        bound = (gx.f2, gx.f1) if skew else (gx.f1, gx.f2)
-        for gy in [tgt.generators[y] for y in ys]:
-            arrow = f"{gx.id}->{gy.id}"
-            if gy.grading != gx.grading:
-                problems.append(((gx.id, gy.id), f"{arrow}: grading {gx.grading} -> "
-                                 f"{gy.grading} not preserved"))
-            if gy.f1 > bound[0] or gy.f2 > bound[1]:
-                problems.append(((gx.id, gy.id), f"{arrow}: bidegree {gy.bidegree} "
-                                 f"exceeds {bound}, not {kind}"))
+    for x, ys in enumerate(images):
+        for y in ys:
+            if tgt.gradings[y] != src.gradings[x]:
+                problems.append(((sid[x], tid[y]), f"{sid[x]}->{tid[y]}: grading "
+                                 f"{src.gradings[x]} -> {tgt.gradings[y]} not preserved"))
+            if tgt.f1[y] > b1[x] or tgt.f2[y] > b2[x]:
+                problems.append(((sid[x], tid[y]), f"{sid[x]}->{tid[y]}: bidegree "
+                                 f"{(tgt.f1[y], tgt.f2[y])} exceeds {(b1[x], b2[x])}, "
+                                 f"not {kind}"))
     out = [msg for _, msg in sorted(problems, key=lambda p: p[0])]
-    for g, ts, ys in zip(src.generators, src.targets, images):
+    for gid, ts, ys in zip(src.ids, src.targets, images):
         lhs: set = set()
         for t in ts:
             lhs.symmetric_difference_update(images[t])
@@ -83,7 +84,7 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
         for y in ys:
             rhs.symmetric_difference_update(tgt.targets[y])
         if lhs != rhs:
-            out.append(f"{g.id}: does not commute with the differential")
+            out.append(f"{gid}: does not commute with the differential")
     return out
 
 
@@ -100,12 +101,13 @@ def is_involution(M: ChainMap) -> bool:
 
 
 def fold(C: BifilteredComplex) -> BifilteredComplex:
-    """Replace each bidegree by (min, max); the Min-Max bifiltration."""
+    """Replace each bidegree by (min, max); the Min-Max bifiltration.  Only
+    f1 and f2 are new tuples: ids, gradings and targets are C's own."""
     if C.mode is FiltrationMode.MIN_MAX:
         raise ValueError("complex is already folded")
-    gens = tuple(Generator(g.id, g.grading, min(g.f1, g.f2), max(g.f1, g.f2))
-                 for g in C.generators)
-    return BifilteredComplex.indexed(gens, C.targets, FiltrationMode.MIN_MAX)
+    return BifilteredComplex.indexed(C.ids, C.gradings, tuple(map(min, C.f1, C.f2)),
+                                     tuple(map(max, C.f1, C.f2)), C.targets,
+                                     FiltrationMode.MIN_MAX)
 
 
 def fold_map(M: ChainMap) -> ChainMap:
@@ -123,14 +125,14 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("involution matching needs an unfolded (ALG_ALEX) complex")
     lookup: dict[tuple, list] = {}
-    for i, g in enumerate(C.generators):
-        lookup.setdefault((g.grading, g.f1, g.f2), []).append(i)
+    for i, key in enumerate(zip(C.gradings, C.f1, C.f2)):
+        lookup.setdefault(key, []).append(i)
     images = []
-    for g in C.generators:
-        partners = lookup.get((g.grading, g.f2, g.f1), [])
+    for i, key in enumerate(zip(C.gradings, C.f2, C.f1)):
+        partners = lookup.get(key, [])
         if len(partners) != 1:
             raise ValueError(
-                f"no unique reflection partner for {g.id} at {g.bidegree}: complex is not a symmetric staircase")
+                f"no unique reflection partner for {C.ids[i]} at {(C.f1[i], C.f2[i])}: complex is not a symmetric staircase")
         images.append(tuple(partners))
     M = ChainMap.indexed(C, C, tuple(images))
     problems = chain_map_violations(M, skew=True)
@@ -144,9 +146,9 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
 def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
     """Cone of (involution + identity) over a folded complex.
 
-    A-copy ids are prefixed "A.", B-copy ids "B.".  The boundary of an
-    A generator i is its original boundary inside A plus (I + id)(i) in B,
-    offset by n.
+    A-copy ids are prefixed "A." and gradings raised by 1, B-copy ids
+    "B.".  The boundary of an A generator i is its original boundary
+    inside A plus (I + id)(i) in B, offset by n.
     """
     if C.mode is not FiltrationMode.MIN_MAX:
         raise ValueError("mapping cone requires a folded (MIN_MAX) complex")
@@ -156,9 +158,9 @@ def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
     if problems:
         raise ValueError("involution is not a filtered chain map: " + "; ".join(problems))
     n = C.n
-    gens = tuple(Generator(f"A.{g.id}", g.grading + 1, g.f1, g.f2) for g in C.generators)
-    gens += tuple(Generator(f"B.{g.id}", g.grading, g.f1, g.f2) for g in C.generators)
+    ids = tuple(f"A.{s}" for s in C.ids) + tuple(f"B.{s}" for s in C.ids)
     targets = tuple(ts + tuple(n + y for y in sorted({*ys} ^ {i}))
                     for i, (ts, ys) in enumerate(zip(C.targets, I_map.images)))
     targets += tuple(tuple(n + t for t in ts) for ts in C.targets)
-    return BifilteredComplex.indexed(gens, targets, FiltrationMode.MIN_MAX)
+    return BifilteredComplex.indexed(ids, tuple(g + 1 for g in C.gradings) + C.gradings,
+                                     C.f1 + C.f1, C.f2 + C.f2, targets, FiltrationMode.MIN_MAX)

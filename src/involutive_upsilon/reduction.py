@@ -4,10 +4,10 @@
 generators of identical bidegree; the result is reduced (every surviving
 entry strictly drops the bidegree somewhere), homology-preserving, and
 bifiltered homotopy equivalent to the input.  It works on generator
-indices: cancellable entries wait in a heap that each elimination feeds
-with the entries it creates, and the step log holds indices.  Ids are read
-only by `eliminated_pairs`; `kept_of`, the forward change-of-basis chain
-map, is replayed from the log on request.
+indices and the bidegree columns: cancellable entries wait in a heap,
+heapified from the input's and fed by each elimination, and the step log
+holds indices.  Ids are read only by `eliminated_pairs`; `kept_of`, the
+forward change-of-basis chain map, is replayed from the log on request.
 
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
-from .complexes import BifilteredComplex, FiltrationMode, Generator
+from .complexes import BifilteredComplex, FiltrationMode
 from .involutive import ChainMap
 from .staircase import Sign, StaircaseSpec, classify, staircase_complex, staircase_points
 
@@ -30,7 +30,7 @@ from .staircase import Sign, StaircaseSpec, classify, staircase_complex, stairca
 class ReductionResult:
     """The reduced complex and its step log: (x, y, rho) cancelled the entry
     x -> y, where rho was the rest of the boundary of x at that moment; all
-    three are indices into `source.generators`."""
+    three are generator indices of `source`."""
 
     source: BifilteredComplex
     reduced: BifilteredComplex
@@ -39,8 +39,8 @@ class ReductionResult:
     @property
     def eliminated_pairs(self) -> tuple:
         """The cancelled entries as (x, y) id pairs, in order."""
-        gens = self.source.generators
-        return tuple((gens[x].id, gens[y].id) for x, y, _ in self.steps)
+        ids = self.source.ids
+        return tuple((ids[x], ids[y]) for x, y, _ in self.steps)
 
     @cached_property
     def kept_of(self) -> ChainMap:
@@ -66,22 +66,21 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
     that is the same in every process.  The homology and all downstream
     invariants are order-independent.
     """
-    gens = C.generators
+    gr, f1, f2 = C.gradings, C.f1, C.f2
     salt = None if rng is None else rng.getrandbits(64)
     cols = [set(ts) for ts in C.targets]  # None once a generator is cancelled
-    rows = [set() for _ in gens]
-    heap: list = []
+    rows = [set() for _ in gr]
 
-    def push(x, y):
-        gx, gy = gens[x], gens[y]
-        if gx.f1 == gy.f1 and gx.f2 == gy.f2:
-            rank = (gx.grading, gx.f1, gx.f2) if salt is None else hash((salt, x, y))
-            heappush(heap, (rank, x, y))
+    def entry(x, y):
+        return ((gr[x], f1[x], f2[x]) if salt is None else hash((salt, x, y))), x, y
 
-    for x, targets in enumerate(cols):
-        for y in targets:
+    # keys are distinct, so the pop order does not depend on how the heap was filled
+    heap = [entry(x, y) for x, ts in enumerate(C.targets) for y in ts
+            if f1[x] == f1[y] and f2[x] == f2[y]]
+    heapify(heap)
+    for x, ts in enumerate(C.targets):
+        for y in ts:
             rows[y].add(x)
-            push(x, y)
     steps = []
     while heap:
         _, x, y = heappop(heap)
@@ -99,7 +98,8 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
                 else:
                     cols[z].add(t)
                     rows[t].add(z)
-                    push(z, t)
+                    if f1[z] == f1[t] and f2[z] == f2[t]:
+                        heappush(heap, entry(z, t))
         for g in (x, y):
             for t in cols[g]:
                 rows[t].discard(g)
@@ -111,13 +111,18 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
     keep = [i for i, ts in enumerate(cols) if ts is not None]
     new = {i: k for k, i in enumerate(keep)}
     targets = tuple(tuple(sorted(new[t] for t in cols[i])) for i in keep)
-    reduced = BifilteredComplex.indexed(tuple(gens[i] for i in keep), targets, C.mode)
-    return ReductionResult(C, reduced, tuple(steps))
+    return ReductionResult(C, _picked(C, keep, targets), tuple(steps))
+
+
+def _picked(C: BifilteredComplex, keep: list, targets: tuple) -> BifilteredComplex:
+    """C's generators at the indices `keep`, with `targets` over their new indices."""
+    return BifilteredComplex.indexed(*(tuple(col[i] for i in keep) for col in
+                                       (C.ids, C.gradings, C.f1, C.f2)), targets, C.mode)
 
 
 def is_reduced(C: BifilteredComplex) -> bool:
-    gens = C.generators
-    return all(g.bidegree != gens[j].bidegree for g, ts in zip(gens, C.targets) for j in ts)
+    f1, f2 = C.f1, C.f2
+    return all(f1[x] != f1[y] or f2[x] != f2[y] for x, ts in enumerate(C.targets) for y in ts)
 
 
 def connected_components(C: BifilteredComplex) -> list[tuple]:
@@ -144,9 +149,9 @@ def connected_components(C: BifilteredComplex) -> list[tuple]:
 def subcomplex(C: BifilteredComplex, indices) -> BifilteredComplex:
     """The generators at the given indices, in generator order, and the
     arrows between them."""
-    new = {i: k for k, i in enumerate(sorted(set(indices)))}
-    targets = tuple(tuple(new[t] for t in C.targets[i] if t in new) for i in new)
-    return BifilteredComplex.indexed(tuple(C.generators[i] for i in new), targets, C.mode)
+    keep = sorted(set(indices))
+    new = {i: k for k, i in enumerate(keep)}
+    return _picked(C, keep, tuple(tuple(new[t] for t in C.targets[i] if t in new) for i in keep))
 
 
 def is_acyclic(C: BifilteredComplex) -> bool:
@@ -165,7 +170,7 @@ def strip_acyclic(C: BifilteredComplex) -> BifilteredComplex:
 
 def generator_signature(C: BifilteredComplex) -> tuple:
     """Sorted multiset of (grading, f1, f2) over all generators."""
-    return tuple(sorted((g.grading, g.f1, g.f2) for g in C.generators))
+    return tuple(sorted(zip(C.gradings, C.f1, C.f2)))
 
 
 def essential_signature(C: BifilteredComplex) -> tuple:
@@ -209,5 +214,7 @@ def materialize_closed_form(out: ClosedFormOutput) -> BifilteredComplex:
     ids = [f"s{i}" for i in range(len(points))]
     tail = staircase_complex(points, source_parity=1 if positive else 0,
                              mode=FiltrationMode.MIN_MAX, ids=ids)
-    v0 = Generator("v0", out.v0_grading, *out.v0_bidegree)
-    return BifilteredComplex.indexed(tail.generators + (v0,), tail.targets + ((),), tail.mode)
+    a, b = out.v0_bidegree
+    return BifilteredComplex.indexed(tail.ids + ("v0",), tail.gradings + (out.v0_grading,),
+                                     tail.f1 + (a,), tail.f2 + (b,), tail.targets + ((),),
+                                     tail.mode)

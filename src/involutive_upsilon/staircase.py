@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .complexes import BifilteredComplex, FiltrationMode, Generator
+from .complexes import BifilteredComplex, FiltrationMode
 
 
 class Sign(Enum):
@@ -90,15 +90,13 @@ def staircase_complex(points, source_parity: int, mode=FiltrationMode.ALG_ALEX,
     Vertices whose index has `source_parity` carry grading 1 and map onto
     their neighbours; the others carry grading 0 and are cycles.
     """
-    if ids is None:
-        ids = [f"v{i}" for i in range(len(points))]
-    gens, targets = [], []
-    for i, (f1, f2) in enumerate(points):
-        is_source = i % 2 == source_parity
-        gens.append(Generator(ids[i], 1 if is_source else 0, f1, f2))
-        targets.append(tuple(j for j in (i - 1, i + 1)
-                             if is_source and 0 <= j < len(points)))
-    return BifilteredComplex.indexed(tuple(gens), tuple(targets), mode)
+    n = len(points)
+    ids = tuple(f"v{i}" for i in range(n)) if ids is None else tuple(ids)
+    gradings = tuple(1 if i % 2 == source_parity else 0 for i in range(n))
+    targets = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) if g else ()
+                    for i, g in enumerate(gradings))
+    return BifilteredComplex.indexed(ids, gradings, tuple(p[0] for p in points),
+                                     tuple(p[1] for p in points), targets, mode)
 
 
 def staircase_from_steps(spec: StaircaseSpec) -> BifilteredComplex:
@@ -118,20 +116,20 @@ def staircase_from_steps(spec: StaircaseSpec) -> BifilteredComplex:
 
 def unknot_complex() -> BifilteredComplex:
     """Single generator at (0, 0), grading 0, zero differential."""
-    return BifilteredComplex((Generator("u", 0, 0, 0),), frozenset(),
-                             FiltrationMode.ALG_ALEX)
+    return BifilteredComplex.indexed(("u",), (0,), (0,), (0,), ((),), FiltrationMode.ALG_ALEX)
 
 
 def mirror(C: BifilteredComplex) -> BifilteredComplex:
     """Negate gradings and both filtration levels, reverse all arrows."""
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("mirror is defined on unfolded (ALG_ALEX) complexes")
-    gens = tuple(Generator(g.id, -g.grading, -g.f1, -g.f2) for g in C.generators)
-    sources = [[] for _ in gens]
+    sources = [[] for _ in C.ids]
     for i, ts in enumerate(C.targets):
         for j in ts:
             sources[j].append(i)
-    return BifilteredComplex.indexed(gens, tuple(map(tuple, sources)), FiltrationMode.ALG_ALEX)
+    gradings, f1, f2 = (tuple(-v for v in col) for col in (C.gradings, C.f1, C.f2))
+    return BifilteredComplex.indexed(C.ids, gradings, f1, f2, tuple(map(tuple, sources)),
+                                     FiltrationMode.ALG_ALEX)
 
 
 def classify(spec: StaircaseSpec) -> StaircaseClass:

@@ -60,9 +60,9 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
     local = {c: k for k, c in enumerate(used)}
     lines = []
     for c in used:
-        g = C.generators[indices[c]]
-        u = (g.grading - grading) // 2
-        lines.append((-(g.f2 - g.f1), -2 * (g.f1 - u)))
+        i = indices[c]
+        u = (C.gradings[i] - grading) // 2
+        lines.append((-(C.f2[i] - C.f1[i]), -2 * (C.f1[i] - u)))
     distinct = set(lines)
     base_bits = [local[c] for c in base]
     boundary_bits = [[local[c] for c in v] for v in boundaries]
@@ -163,7 +163,7 @@ def v0_invariants(C_knot: BifilteredComplex,
 
 def filtration_width(C: BifilteredComplex) -> int:
     """Largest |f1 - f2| over the generators (Max - Min once folded)."""
-    return max((abs(g.f1 - g.f2) for g in C.generators), default=0)
+    return max((abs(a - b) for a, b in zip(C.f1, C.f2)), default=0)
 
 
 def slope_bound_check(f: PLFunction, C_knot: BifilteredComplex) -> bool:

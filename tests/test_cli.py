@@ -56,6 +56,8 @@ def test_parse_file():
     ("steps:+:0,1", "positive"),
     ("wave:1,2", "expected torus:"),
     ("file:", "empty file path"),
+    pytest.param("steps:+:1," + "1" * 5000, "position 10: integer too long",
+                 id="steps:+:1,<5000 digits>-too long"),
 ])
 def test_parse_errors_are_positioned(text, fragment):
     with pytest.raises(KnotSpecError, match=fragment) as exc:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from involutive_upsilon import (BifilteredComplex, FiltrationMode,
-                                Generator, direct_sum, dumps_complex,
-                                gf2, homology_rank, loads_complex, mirror,
-                                reduce_bifiltered, unknot_complex, validate)
+                                Generator, Sign, StaircaseSpec,
+                                closed_form_cone_reduction, direct_sum, dumps_complex,
+                                gf2, homology_rank, involutive_cone, loads_complex,
+                                materialize_closed_form, mirror, reduce_bifiltered,
+                                staircase_from_steps, strip_acyclic, unknot_complex,
+                                validate)
 from involutive_upsilon.complexes import homology_data
 from involutive_upsilon.involutive import staircase_involution, fold, fold_map, mapping_cone
 
@@ -174,6 +177,37 @@ def test_direct_sum_acyclic_preserves_ranks(t37):
         assert homology_rank(S, g) == homology_rank(cone, g)
 
 
+T37_SPEC = StaircaseSpec((1, 2, 1, 2, 2, 1, 2, 1))
+
+# every producer of complexes, on T(3,7) or a small sum with it
+PRODUCERS = {
+    "staircase+": lambda: staircase_from_steps(T37_SPEC),
+    "staircase-": lambda: staircase_from_steps(StaircaseSpec(T37_SPEC.steps, Sign.NEGATIVE)),
+    "mirror": lambda: mirror(staircase_from_steps(T37_SPEC)),
+    "fold": lambda: fold(staircase_from_steps(T37_SPEC)),
+    "mapping_cone": lambda: t37_cone(staircase_from_steps(T37_SPEC)),
+    "reduced cone": lambda: involutive_cone(staircase_from_steps(T37_SPEC)),
+    "strip_acyclic": lambda: strip_acyclic(direct_sum(staircase_from_steps(T37_SPEC), box())),
+    "direct_sum": lambda: direct_sum(staircase_from_steps(T37_SPEC),
+                                     staircase_from_steps(T37_SPEC)),
+    "materialize_closed_form": lambda: materialize_closed_form(
+        closed_form_cone_reduction(T37_SPEC)),
+    "loads_complex": lambda: loads_complex(dumps_complex(staircase_from_steps(T37_SPEC)))[0],
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_producers_build_columns(name):
+    C = PRODUCERS[name]()
+    columns = (C.ids, C.gradings, C.f1, C.f2, C.targets)
+    assert C.n > 0 and all(type(col) is tuple and len(col) == C.n for col in columns)
+    rebuilt = BifilteredComplex(C.generators, C.arrows, C.mode)
+    assert rebuilt == C and hash(rebuilt) == hash(C)
+    if C.mode is FiltrationMode.ALG_ALEX:
+        F = fold(C)  # only the filtration columns are new
+        assert F.ids is C.ids and F.gradings is C.gradings and F.targets is C.targets
+
+
 def test_direct_sum_mode_mismatch(t23):
     with pytest.raises(ValueError, match="mode mismatch"):
         direct_sum(t23, box(mode=FiltrationMode.MIN_MAX))
@@ -219,6 +253,10 @@ def dumpable(draw):
 @example((BifilteredComplex(), frozenset()))
 @example((BifilteredComplex((Generator("u", 0, 0, 0),)), frozenset()))
 @example((box(), frozenset({("x", "x"), ("y", "y")})))
+@example((involutive_cone(staircase_from_steps(StaircaseSpec((1, 2) * 50 + (2, 1) * 50))),
+          None))
+@example((involutive_cone(staircase_from_steps(
+    StaircaseSpec((1, 2) * 50 + (2, 1) * 50, Sign.NEGATIVE))), None))
 def test_dump_matches_json_dumps(case):
     C, involution = case
     assert dumps_complex(C, involution) == json_dump(C, involution)
@@ -252,6 +290,9 @@ def test_json_bad_values_rejected():
         loads_complex('{"mode": "ALG_ALEX", "generators": [{"id": "x", "gr": 0.5, "f1": 0, "f2": 0}], "differential": []}')
     with pytest.raises(ValueError, match="invalid JSON"):
         loads_complex("{nope")
+    with pytest.raises(ValueError, match="invalid JSON: .*5000 digits"):
+        loads_complex('{"mode": "ALG_ALEX", "generators": [{"id": "x", "gr": %s, "f1": 0, '
+                      '"f2": 0}], "differential": []}' % ("1" * 5000))
 
 
 @pytest.mark.parametrize("field", ["generators", "differential", "involution"])

@@ -15,8 +15,8 @@ from involutive_upsilon.verify import symmetric_specs
 
 def test_fold_reflected_pair(t37):
     F = fold(t37)
-    assert F.generators[F.index["v0"]].bidegree == (0, 6)
-    assert F.generators[F.index["v8"]].bidegree == (0, 6)
+    assert (F.f1[F.index["v0"]], F.f2[F.index["v0"]]) == (0, 6)
+    assert (F.f1[F.index["v8"]], F.f2[F.index["v8"]]) == (0, 6)
     assert F.mode is FiltrationMode.MIN_MAX
     assert validate(F).ok
 
@@ -24,7 +24,7 @@ def test_fold_reflected_pair(t37):
 def test_fold_diagonal_fixed():
     C = BifilteredComplex((Generator("g", 0, 3, 3),), frozenset(),
                           FiltrationMode.ALG_ALEX)
-    assert fold(C).generators[0].bidegree == (3, 3)
+    assert (fold(C).f1, fold(C).f2) == ((3,), (3,))
 
 
 def test_fold_t25_half_plane(t25):

@@ -66,7 +66,7 @@ def test_t37_coordinates(t37):
     assert coords(t37) == [(0, 6), (1, 6), (1, 4), (2, 4), (2, 2),
                            (4, 2), (4, 1), (6, 1), (6, 0)]
     assert gradings(t37) == [0, 1, 0, 1, 0, 1, 0, 1, 0]
-    assert t37.generators[t37.index["v0"]].bidegree == (0, 6)
+    assert (t37.f1[t37.index["v0"]], t37.f2[t37.index["v0"]]) == (0, 6)
     assert homology_rank(t37, 0) == 1
 
 

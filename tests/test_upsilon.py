@@ -1,15 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
+from involutive_upsilon import (BifilteredComplex, FiltrationMode,
                                 Generator, PLFunction, Sign, StaircaseSpec,
                                 UpsilonVariant, closed_form_cone_reduction,
                                 direct_sum, fold, materialize_closed_form,
                                 involutive_cone, mirror, nu_function,
                                 slope_bound_check, staircase_from_steps,
-                                staircase_involution, unknot_complex, upsilon, upsilon_pair_from_cone,
+                                unknot_complex, upsilon, upsilon_pair_from_cone,
                                 v0_invariants)
 from involutive_upsilon.complexes import homology_data
 from involutive_upsilon.upsilon import filtration_width
@@ -261,22 +260,6 @@ def test_slope_bound(t37):
     assert slope_bound_check(PLFunction.constant(5), t37)
     steep = PLFunction.from_breakpoints(((0, 0), (2, -16)))
     assert not slope_bound_check(steep, t37)
-
-
-def test_acyclic_summand_invariance(t25):
-    base_inv = staircase_involution(t25)
-    base = {w: upsilon(t25, w) for w in UpsilonVariant}
-    rng = random.Random(20260808)
-    for _ in range(10):
-        a = rng.randrange(-3, 4)
-        Z = BifilteredComplex(
-            (Generator("x", 1, a, a), Generator("y", 0, a, a)),
-            {("x", "y")}, FiltrationMode.ALG_ALEX)
-        S = direct_sum(t25, Z)
-        arrows = set(base_inv.arrows) | {("x", "x"), ("y", "y")}
-        inv = ChainMap(S, S, frozenset(arrows))
-        for w in UpsilonVariant:
-            assert upsilon(S, w, inv) == base[w]
 
 
 def test_upsilon_pair_from_closed_form(t37):
