@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .complexes import FiltrationMode, dumps_complex, loads_complex, validate
+from .complexes import (MAX_DIGITS, TOO_LONG, FiltrationMode, dumps_complex,
+                        loads_complex, validate)
 from .involutive import ChainMap, chain_map_violations, fold, staircase_involution
 from .plfunction import PLFunction
 from .render import (UPSILON_LABELS, format_plfunction, format_rational,
@@ -113,6 +114,8 @@ def parse_knot_spec(text: str) -> KnotRecipe:
         bad = next((n for n in nums if n <= 0), None)
         if bad is not None:
             raise KnotSpecError(text, body_pos, f"steps must be positive, got {bad}")
+        if sum(nums) >= TOO_LONG:
+            raise KnotSpecError(text, body_pos, f"step sum has more than {MAX_DIGITS} digits")
         return KnotRecipe(text, "steps", steps=tuple(nums), sign=sign)
     raise KnotSpecError(text, 0, "expected torus:, -torus:, steps: or file:")
 

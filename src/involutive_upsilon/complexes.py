@@ -242,6 +242,16 @@ def direct_sum(C1: BifilteredComplex, C2: BifilteredComplex) -> BifilteredComple
 # byte-identical.
 # ---------------------------------------------------------------------------
 
+# Inputs are capped so that every number the package prints stays under
+# the 4300 digits that int's str() converts.  Coordinates (gradings and
+# filtration levels) are at most the step sum S of a staircase, or the
+# largest value of a complex file; a line's slope and intercept and a
+# breakpoint's numerator and denominator are differences of at most two of
+# them, about digits(S) + 1 digits, and a value at a breakpoint is a sum of
+# their products, about 2 * digits(S) + 1.  So 2000 digits keeps them all
+# under the limit.
+MAX_DIGITS = 2000
+TOO_LONG = 10 ** MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 _TOP_KEYS = {"mode", "generators", "differential", "involution"}
 _GEN_KEYS = {"id", "gr", "f1", "f2"}
 _EDGE_KEYS = {"from", "to"}
@@ -294,6 +304,8 @@ def complex_from_dict(d: dict):
         for k in ("gr", "f1", "f2"):
             if not isinstance(entry[k], int) or isinstance(entry[k], bool):
                 raise ValueError(f"generator field {k!r} must be an integer")
+            if abs(entry[k]) >= TOO_LONG:
+                raise ValueError(f"generator field {k!r} has more than {MAX_DIGITS} digits")
         gens.append(Generator(entry["id"], entry["gr"], entry["f1"], entry["f2"]))
     arrows = _edge_list(d["differential"], "differential")
     C = BifilteredComplex(tuple(gens), arrows, mode)

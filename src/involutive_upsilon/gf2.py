@@ -5,7 +5,9 @@ is one big-integer XOR.  Windows of long staircase cones reach a few
 thousand coordinates; dense bitmask rows stay exact there and cost one
 machine word per 64 coordinates.  `reduce_columns` reduces a complex's
 columns once for its homology; `Eliminator` serves the Upsilon sweep, which
-reduces the same boundaries again under each new bit order.
+reduces the same boundaries again under the bit order of each stop, once
+per piece of the answer, and back-substitutes over the stored pivots for
+its dual witness.
 """
 
 from __future__ import annotations

@@ -39,34 +39,38 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
 
     Each coordinate (the translate U^u x living in the grading, for a
     generator x of the grading's parity) carries the integer line
-    -2 * (f1 - u) - t * (f2 - f1).  At a fixed t, order the coordinates so
-    that the lowest value takes the highest bit; reducing the base cycle
-    against the boundary basis, pivoting on the highest bit, leaves the
-    coset element whose leading coordinate is lowest, and that leading
-    line is the class's value.  Ties are broken by slope, which is the
-    order just after t, so the same line stays the value until it crosses
-    another coordinate's line: swaps between two lines on the same side of
-    it change no coset element's leading coordinate.  Only coordinates in
-    the support of the coset are ever looked at.  The boundaries arrive as
-    position tuples and the base mask is read once, so the set-up is linear
-    in the arrows.
+    -2 * (f1 - u) - t * (f2 - f1), and Upsilon(t) is the largest, over the
+    cycles z of the class, of the least line of z's support.  At a stop t,
+    order the coordinates so that the lowest value takes the highest bit,
+    ties broken by slope (the order just after t), and reduce the base
+    cycle against the boundary basis, pivoting on the highest bit.  The
+    residual r = base + (boundaries) has leading bit `lead` with line L, and
+    two witnesses show Upsilon = L just after t:
+
+    - primal: r is in the class and every line of its support is >= L, so
+      Upsilon >= L;
+    - dual: the functional phi, found by back-substitution over the rows
+      whose pivot is above `lead`, is zero on every boundary row (rows
+      pivoting below `lead` have no bit >= `lead`) and one on the base
+      (every bit of r is <= `lead`), and its support lies in the bits
+      >= `lead`.  Every cycle of the class meets that support, whose lines
+      are <= L, so Upsilon <= L.
+
+    Both hold until a line of supp r or supp phi crosses L, so the next stop
+    is the first such crossing after t: the sweep stops once per piece.  A
+    line of supp r with a larger slope than L, or of supp phi with a smaller
+    one, meets L at or before t, so no direction filter is needed.  The
+    boundaries arrive as position tuples and the base mask is read once, so
+    the set-up is linear in the arrows.
     """
     indices, reps, boundaries = C.homology[grading % 2]
     if len(reps) != 1:
         raise ValueError(
             f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
     base = [c for c, b in enumerate(reversed(bin(reps[0]))) if b == "1"]
-    used = sorted(set(base).union(*boundaries))
-    local = {c: k for k, c in enumerate(used)}
-    lines = []
-    for c in used:
-        i = indices[c]
-        u = (C.gradings[i] - grading) // 2
-        lines.append((-(C.f2[i] - C.f1[i]), -2 * (C.f1[i] - u)))
-    distinct = set(lines)
-    base_bits = [local[c] for c in base]
-    boundary_bits = [[local[c] for c in v] for v in boundaries]
-    n = len(used)
+    lines = [(C.f1[i] - C.f2[i], 2 * ((C.gradings[i] - grading) // 2 - C.f1[i]))
+             for i in indices]
+    n = len(lines)
     pieces = []
     p, q = 0, 1  # the sweep position t = p / q
     while True:
@@ -76,21 +80,24 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
         bit = [0] * n
         for j, k in enumerate(order):
             bit[k] = n - 1 - j
-        elim = gf2.Eliminator(sum(1 << bit[k] for k in vec) for vec in boundary_bits)
-        lead = elim.residual(sum(1 << bit[k] for k in base_bits)).bit_length() - 1
+        elim = gf2.Eliminator(sum(1 << bit[k] for k in vec) for vec in boundaries)
+        r = elim.residual(sum(1 << bit[k] for k in base))
+        lead = r.bit_length() - 1
         slope, icpt = lines[order[n - 1 - lead]]
-        if not pieces or pieces[-1][1] != (slope, icpt):
-            pieces.append((Fraction(p, q), (slope, icpt)))
-        # the nearest crossing after t, as num / den; t = 2 ends the sweep
+        pieces.append((Fraction(p, q), (slope, icpt)))  # PLFunction merges repeats
+        dual = 1 << lead
+        for top in sorted(elim.pivots):
+            if top > lead and (elim.pivots[top] & dual).bit_count() & 1:
+                dual |= 1 << top
+        # the first crossing xn / xd > t of L by a watched line, with xd >= 0 (a
+        # parallel line has xd = 0 and never passes); t = 2 ends the sweep
         num, den = 2, 1
-        for s, b in distinct:
-            if s == slope:
-                continue
-            xn, xd = b - icpt, slope - s
-            if xd < 0:
-                xn, xd = -xn, -xd
-            if xn * q > p * xd and xn * den < num * xd:
-                num, den = xn, xd
+        for j, w in enumerate(reversed(bin(r | dual))):
+            if w == "1":
+                s, b = lines[order[n - 1 - j]]
+                xn, xd = (b - icpt, slope - s) if s < slope else (icpt - b, s - slope)
+                if xn * q > p * xd and xn * den < num * xd:
+                    num, den = xn, xd
         if num == 2 * den:
             return pieces
         p, q = num, den

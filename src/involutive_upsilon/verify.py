@@ -5,7 +5,8 @@ must hold on randomized inputs with a deterministic seed.
 `CHECKS` is the one ordered list of (name, check) pairs.  The `verify` CLI
 command runs it through `run_verify`, and the test suite runs each entry
 as its own case.  A check takes the `VerifySettings` and returns a one-line
-summary, or raises `CheckFailure` with the first counterexample.
+summary, or raises `CheckFailure` with the first counterexample; `run_verify`
+reports any other exception a check raises as that check's failure.
 """
 
 from __future__ import annotations
@@ -354,4 +355,6 @@ def run_verify(max_steps: int = 8, grid_denominator: int = 12,
             results.append(CheckResult(name, True, check(settings)))
         except CheckFailure as e:
             results.append(CheckResult(name, False, str(e)))
+        except Exception as e:  # a check that crashes fails; the rest still run
+            results.append(CheckResult(name, False, f"{type(e).__name__}: {e}"))
     return results

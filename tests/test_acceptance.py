@@ -2,28 +2,25 @@
 
 Everything is exact rational arithmetic; "agreement" always means equality
 of PLFunction breakpoints, never approximate comparison.  The checks are
-the ones `involutive-upsilon verify` runs, with its default settings.
+the ones `involutive-upsilon verify` runs, with its default settings;
+criteria 1 and 4-6 are those checks, called by name.
 """
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
                                 Generator, Sign, StaircaseSpec, UpsilonVariant,
-                                direct_sum, essential_signature, homology_rank,
+                                direct_sum, essential_signature,
                                 involutive_cone, materialize_closed_form,
                                 closed_form_cone_reduction, reduce_bifiltered,
                                 staircase_from_steps, staircase_involution,
-                                steps_from_torus_knot, upsilon,
-                                upsilon_pair_from_cone, v0_invariants)
+                                upsilon, upsilon_pair_from_cone)
 from involutive_upsilon.reduction import generator_signature
 from involutive_upsilon.verify import (CHECKS, VerifySettings, corpus_knots,
                                        symmetric_specs, torus_knot_corpus)
-
-GRID12 = [Fraction(j, 12) for j in range(25)]
 
 # seconds per check, filled by test_verify_check for the suite budget
 SECONDS = {}
@@ -88,40 +85,23 @@ def test_criterion_3_small_torus_knot_goldens():
 
 
 def test_criterion_4_tower_structure():
-    for p, q in torus_knot_corpus(35):
-        C = staircase_from_steps(steps_from_torus_knot(p, q))
-        cone = involutive_cone(C, reduce_cone=False)
-        assert homology_rank(cone, 0) == 1, (p, q)
-        assert homology_rank(cone, 1) == 1, (p, q)
-        lo, hi = cone.grading_span()
-        for g in range(lo - 1, hi + 2):
-            assert homology_rank(cone, g) == (
-                homology_rank(C, g) + homology_rank(C, g - 1)), (p, q, g)
+    # engine-agreement's corpus holds every torus knot of torus_knot_corpus(35)
+    # and checks the two towers and the rank-sum identity on each cone
+    dict(CHECKS)["engine-agreement"](VerifySettings())
     report(4, f"two towers + rank-sum identity for {len(torus_knot_corpus(35))} torus knots")
 
 
 def test_criterion_5_inequality_chain():
-    knots = corpus_knots(35)
-    for label, C in knots:
-        low = upsilon(C, UpsilonVariant.LOWER)
-        mid = upsilon(C, UpsilonVariant.FOLDED)
-        up = upsilon(C, UpsilonVariant.UPPER)
-        for t in GRID12:
-            assert low(t) <= mid(t) <= up(t), (label, t)
-    report(5, f"lower <= folded <= upper on the /12 grid for {len(knots)} corpus knots")
+    dict(CHECKS)["upsilon-ordering"](VerifySettings())
+    report(5, f"lower <= folded <= upper on the /12 grid for {len(corpus_knots(35))} "
+              f"corpus knots")
 
 
 def test_criterion_6_v0_relation():
-    knots = corpus_knots(35)
-    for label, C in knots:
-        up = upsilon(C, UpsilonVariant.UPPER)
-        low = upsilon(C, UpsilonVariant.LOWER)
-        v_up, v_low = v0_invariants(C)
-        assert v_up == -up(2) / 2 and v_low == -low(2) / 2, label
-        assert v_up.denominator == 1 and v_low.denominator == 1, label
-    t37 = staircase_from_steps(steps_from_torus_knot(3, 7))
-    assert v0_invariants(t37) == (2, 2)
-    report(6, f"V0 = -1/2 Upsilon(2), integral on {len(knots)} knots; T(3,7) gives (2, 2)")
+    dict(CHECKS)["v0-relation"](VerifySettings())
+    dict(CHECKS)["T(3,7)-goldens"](VerifySettings())  # V0(T(3,7)) = (2, 2)
+    report(6, f"V0 = -1/2 Upsilon(2), integral on {len(corpus_knots(35))} knots; "
+              f"T(3,7) gives (2, 2)")
 
 
 def _paired_acyclic_box(rng):

@@ -58,11 +58,25 @@ def test_parse_file():
     ("file:", "empty file path"),
     pytest.param("steps:+:1," + "1" * 5000, "position 10: integer too long",
                  id="steps:+:1,<5000 digits>-too long"),
+    pytest.param("steps:+:" + ",".join(["9" * 4300] * 4),
+                 "position 8: step sum has more than 2000 digits",
+                 id="steps:+:N,N,N,N-N=<4300 nines>-step sum too long"),
 ])
 def test_parse_errors_are_positioned(text, fragment):
     with pytest.raises(KnotSpecError, match=fragment) as exc:
         parse_knot_spec(text)
     assert "position" in str(exc.value)
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_spec_just_under_the_digit_limit_renders(capsys, sign):
+    half = (10 ** 2000 - 2) // 2  # the step sum has 2000 digits
+    knot = f"steps:{sign}:{half},{half}"
+    code, out, err = run_cli(capsys, "compute", "--knot", knot)
+    assert code == EXIT_OK and err == ""
+    assert len(out.splitlines()) == 6 and str(half) in out
+    code, out, err = run_cli(capsys, "dump-complex", "--knot", knot, "--stage", "reduced")
+    assert code == EXIT_OK and err == "" and loads_complex(out)
 
 
 def test_compute_table_t37(capsys):
@@ -269,6 +283,25 @@ def test_verify_quick(capsys):
     assert code == EXIT_OK
     assert "all" in out and "passed" in out
     assert out.count("ok  ") >= 10
+
+
+def test_verify_reports_a_crashing_check_and_runs_the_rest(capsys, monkeypatch):
+    from involutive_upsilon import verify
+
+    def crash(settings):
+        raise ValueError("neighbouring pieces do not meet at t = 1")
+
+    checks = list(verify.CHECKS)
+    checks[1] = (checks[1][0], crash)
+    monkeypatch.setattr(verify, "CHECKS", tuple(checks))
+    code, out, _ = run_cli(capsys, "verify", "--max-steps", "1")
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    assert lines == [line for line in lines if line.startswith(("ok  ", "FAIL "))]
+    assert [line.split()[1] for line in lines] == [name for name, _ in checks]
+    assert lines[1] == (f"FAIL {checks[1][0]} - ValueError: "
+                        "neighbouring pieces do not meet at t = 1")
+    assert sum(line.startswith("FAIL") for line in lines) == 1
 
 
 @pytest.mark.parametrize("flag", ["--max-steps", "--grid-denominator"])

@@ -293,6 +293,10 @@ def test_json_bad_values_rejected():
     with pytest.raises(ValueError, match="invalid JSON: .*5000 digits"):
         loads_complex('{"mode": "ALG_ALEX", "generators": [{"id": "x", "gr": %s, "f1": 0, '
                       '"f2": 0}], "differential": []}' % ("1" * 5000))
+    # past MAX_DIGITS the outputs would pass int's 4300-digit str limit
+    with pytest.raises(ValueError, match="'f1' has more than 2000 digits"):
+        loads_complex('{"mode": "ALG_ALEX", "generators": [{"id": "x", "gr": 0, "f1": -%s, '
+                      '"f2": 0}], "differential": []}' % ("1" + "0" * 2000))
 
 
 @pytest.mark.parametrize("field", ["generators", "differential", "involution"])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from involutive_upsilon import gf2
 from involutive_upsilon import (BifilteredComplex, FiltrationMode,
                                 Generator, PLFunction, Sign, StaircaseSpec,
                                 UpsilonVariant, closed_form_cone_reduction,
@@ -151,17 +152,18 @@ def test_nu_matches_brute_oracle_on_corpus(steps, sign):
             assert f(t) == brute_nu_value(X, grading, t)
 
 
-@pytest.mark.parametrize("steps", [
-    pytest.param(semigroup_torus_steps(5, 27), id="T(5,27)"),
-    pytest.param(semigroup_torus_steps(7, 40), id="T(7,40)"),
-    pytest.param((1, 2) * 60 + (2, 1) * 60, id="[1,2]*60+[2,1]*60"),
-    pytest.param((1, 2) * 1000 + (2, 1) * 1000, id="[1,2]*1000+[2,1]*1000"),
+@pytest.mark.parametrize("steps, sign", [
+    pytest.param(semigroup_torus_steps(5, 27), Sign.POSITIVE, id="T(5,27)"),
+    pytest.param(semigroup_torus_steps(7, 40), Sign.POSITIVE, id="T(7,40)"),
+    pytest.param((1, 2) * 60 + (2, 1) * 60, Sign.POSITIVE, id="[1,2]*60+[2,1]*60"),
+    pytest.param((1, 2) * 1000 + (2, 1) * 1000, Sign.POSITIVE, id="[1,2]*1000+[2,1]*1000"),
+    pytest.param((1, 2) * 1000 + (2, 1) * 1000, Sign.NEGATIVE, id="-[1,2]*1000+[2,1]*1000"),
 ])
-def test_large_coset_knots(steps):
+def test_large_coset_knots(steps, sign):
     # classic and folded cosets of dimension 32, 68, 120 and 2000, cone
     # cosets of 16, 34, 60 and 1000: far past what enumerating 2^dim
     # elements can visit
-    spec = StaircaseSpec(steps, Sign.POSITIVE)
+    spec = StaircaseSpec(steps, sign)
     C = staircase_from_steps(spec)
     f = {w: upsilon(C, w) for w in UpsilonVariant}
     closed = materialize_closed_form(closed_form_cone_reduction(spec))
@@ -170,8 +172,9 @@ def test_large_coset_knots(steps):
     classic = f[UpsilonVariant.CLASSIC]
     # the oracle is convex, so agreeing with a PL function at its breakpoints
     # and piece midpoints means agreeing everywhere
+    mirrored = -1 if sign is Sign.NEGATIVE else 1  # classic Upsilon is odd under mirroring
     for t in breakpoints_and_midpoints(classic):
-        assert classic(t) == oss_classic_value(steps, t)
+        assert classic(t) == mirrored * oss_classic_value(steps, t)
     low, mid, up = (f[UpsilonVariant.LOWER], f[UpsilonVariant.FOLDED],
                     f[UpsilonVariant.UPPER])
     for t in {t for g in (low, mid, up) for t, _ in g.breakpoints}:
@@ -181,6 +184,37 @@ def test_large_coset_knots(steps):
     assert v_up.denominator == v_low.denominator == 1
     for w in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
         assert slope_bound_check(f[w], C)
+
+
+def count_stops(monkeypatch):
+    """A list that grows by one per sweep stop: each stop builds one Eliminator."""
+    stops, Eliminator = [], gf2.Eliminator
+    monkeypatch.setattr(gf2, "Eliminator", lambda rows: stops.append(1) or Eliminator(rows))
+    return stops
+
+
+@pytest.mark.parametrize("k", [250, 500])
+def test_sweep_stops_once_per_piece_on_mirrors(k, monkeypatch):
+    stops = count_stops(monkeypatch)
+    C = staircase_from_steps(StaircaseSpec((1, 2) * k + (2, 1) * k, Sign.NEGATIVE))
+    for w in UpsilonVariant:
+        stops.clear()
+        f = upsilon(C, w)
+        assert len(stops) == len(f.pieces()), w
+
+
+def test_sweep_stops_once_per_piece_on_corpus(monkeypatch):
+    stops = count_stops(monkeypatch)
+    pieces = dict.fromkeys(UpsilonVariant, 0)
+    stopped = dict.fromkeys(UpsilonVariant, 0)
+    for steps in symmetric_specs(6):
+        for sign in Sign:
+            C = staircase_from_steps(StaircaseSpec(steps, sign))
+            for w in UpsilonVariant:
+                stops.clear()
+                pieces[w] += len(upsilon(C, w).pieces())
+                stopped[w] += len(stops)
+    assert stopped == pieces
 
 
 @pytest.mark.parametrize("p", range(2, 13))
