@@ -19,8 +19,8 @@ from .reduction import (ClosedFormOutput, ReductionResult,
 from .staircase import (Pointing, Sign, StaircaseClass, StaircaseSpec, classify,
                         mirror, staircase_from_steps, steps_from_torus_knot,
                         unknot_complex)
-from .upsilon import (UpsilonVariant, involutive_cone, nu_function,
-                      slope_bound_check, upsilon, upsilon_pair_from_cone,
+from .upsilon import (UpsilonVariant, involutive_cone, slope_bound_check,
+                      tower_upsilon, upsilon, upsilon_pair_from_cone,
                       v0_invariants)
 from .verify import run_verify
 
@@ -34,9 +34,9 @@ __all__ = [
     "closed_form_cone_reduction", "direct_sum", "dumps_complex",
     "essential_signature", "fold", "fold_map", "homology_rank",
     "involutive_cone", "loads_complex", "mapping_cone",
-    "materialize_closed_form", "mirror", "nu_function", "reduce_bifiltered",
+    "materialize_closed_form", "mirror", "reduce_bifiltered",
     "run_verify", "slope_bound_check", "staircase_from_steps",
     "staircase_involution", "steps_from_torus_knot", "strip_acyclic",
-    "unknot_complex", "upsilon", "upsilon_pair_from_cone", "v0_invariants",
-    "validate",
+    "tower_upsilon", "unknot_complex", "upsilon", "upsilon_pair_from_cone",
+    "v0_invariants", "validate",
 ]

@@ -57,16 +57,6 @@ class KnotRecipe:
     path: str = ""
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    knots: tuple
-    invariants: tuple
-    engine: str = "generic"
-    output: str = "table"
-    output_dir: Path = Path(".")
-    strip_acyclic: bool = False
-
-
 def _parse_int_list(text: str, base_pos: int, spec: str):
     out = []
     pos = base_pos
@@ -146,35 +136,40 @@ def build_knot(recipe: KnotRecipe):
 
 
 def _slug(label: str) -> str:
-    """File stem of a knot label; '-' becomes 'm' so a mirror keeps its own stem."""
-    keep = []
-    for ch in label:
-        keep.append(ch if ch.isalnum() else "m" if ch == "-" else "_")
-    return "".join(keep).strip("_")
+    """File stem of a knot label; '-' becomes 'm' so a mirror keeps its own stem.
+    A stem over 200 UTF-8 bytes keeps its first 180 bytes and a digest of the
+    whole label, so every file name stays within the usual 255-byte limit."""
+    stem = "".join(ch if ch.isalnum() else "m" if ch == "-" else "_"
+                   for ch in label).strip("_")
+    if len(stem.encode()) > 200:
+        import hashlib  # only here: importing it at the top adds ~3.5 MB to every run
+
+        digest = hashlib.sha256(label.encode("utf-8", "surrogatepass")).hexdigest()
+        stem = stem.encode()[:180].decode(errors="ignore") + "_" + digest[:16]
+    return stem
 
 
 def _cone_pair(C, involution, engine, recipe, strip):
     """(upper, lower) per engine; 'both' cross-checks and reports any diff."""
-    results = {}
-    if engine in ("generic", "both"):
-        cone = involutive_cone(C, involution, strip=strip)
-        results["generic"] = upsilon_pair_from_cone(cone)
-    if engine in ("closed-form", "both"):
-        spec = StaircaseSpec(recipe.steps, recipe.sign) if recipe.kind == "steps" else None
-        if spec is None or not spec.symmetric:
-            raise ValueError(
-                f"knot {recipe.label!r}: the closed-form engine needs a symmetric staircase spec")
-        from .reduction import closed_form_cone_reduction, materialize_closed_form
-        closed = materialize_closed_form(closed_form_cone_reduction(spec))
-        results["closed-form"] = upsilon_pair_from_cone(closed)
-    if engine == "both" and results["generic"] != results["closed-form"]:
+    if engine != "closed-form":
+        generic = upsilon_pair_from_cone(involutive_cone(C, involution, strip=strip))
+        if engine == "generic":
+            return generic
+    spec = StaircaseSpec(recipe.steps, recipe.sign) if recipe.kind == "steps" else None
+    if spec is None or not spec.symmetric:
+        raise ValueError(
+            f"knot {recipe.label!r}: the closed-form engine needs a symmetric staircase spec")
+    from .reduction import closed_form_cone_reduction, materialize_closed_form
+    closed = upsilon_pair_from_cone(materialize_closed_form(closed_form_cone_reduction(spec)))
+    if engine == "closed-form":
+        return closed
+    if closed != generic:
         lines = [f"engine mismatch for {recipe.label}:"]
-        for name in ("generic", "closed-form"):
-            up, low = results[name]
+        for name, (up, low) in (("generic", generic), ("closed-form", closed)):
             lines.append(f"  {name}: upper = {format_plfunction(up)}; "
                          f"lower = {format_plfunction(low)}")
         raise EngineMismatchError("\n".join(lines))
-    return results["generic"] if "generic" in results else results["closed-form"]
+    return generic
 
 
 def compute_knot(recipe: KnotRecipe, invariants, engine: str, strip: bool):
@@ -201,8 +196,9 @@ def compute_knot(recipe: KnotRecipe, invariants, engine: str, strip: bool):
     return out
 
 
-def _emit(job: JobSpec, all_results, stdout) -> None:
-    if job.output == "table":
+def _emit(all_results, output: str, output_dir: Path) -> None:
+    stdout = sys.stdout
+    if output == "table":
         for label, results in all_results:
             stdout.write(f"knot {label}\n")
             for name, value in results.items():
@@ -213,25 +209,25 @@ def _emit(job: JobSpec, all_results, stdout) -> None:
                 else:
                     stdout.write(f"  {UPSILON_LABELS[name]}: {format_plfunction(value)}\n")
         return
-    job.output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir.mkdir(parents=True, exist_ok=True)
     for label, results in all_results:
         slug = _slug(label)
         curves = {n: v for n, v in results.items() if isinstance(v, PLFunction)}
-        if job.output == "csv":
+        if output == "csv":
             for name, f in curves.items():
-                path = job.output_dir / f"{slug}.{name}.csv"
+                path = output_dir / f"{slug}.{name}.csv"
                 path.write_text(plfunction_csv(f), encoding="utf-8")
                 stdout.write(f"wrote {path}\n")
             if "v0" in results:
                 v_up, v_low = results["v0"]
-                path = job.output_dir / f"{slug}.v0.csv"
+                path = output_dir / f"{slug}.v0.csv"
                 path.write_text("name,value\nupper_v0,%s\nlower_v0,%s\n"
                                 % (format_rational(v_up), format_rational(v_low)),
                                 encoding="utf-8")
                 stdout.write(f"wrote {path}\n")
-        elif job.output == "svg":
+        elif output == "svg":
             if curves:
-                path = job.output_dir / f"{slug}.svg"
+                path = output_dir / f"{slug}.svg"
                 path.write_text(render_svg(label, curves), encoding="utf-8")
                 stdout.write(f"wrote {path}\n")
             if "v0" in results:
@@ -240,67 +236,37 @@ def _emit(job: JobSpec, all_results, stdout) -> None:
                              f"V̲0 = {format_rational(v_low)}\n")
 
 
-def _exit_codes(command):
-    """Wrap a command so a failure prints one error line and exits 4, 5 or 2."""
-    def guarded(*args):
-        try:
-            return command(*args)
-        except (EngineMismatchError, OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            if isinstance(e, EngineMismatchError):
-                return EXIT_MISMATCH
-            return EXIT_IO if isinstance(e, OSError) else EXIT_PARSE
-    return guarded
-
-
-@_exit_codes
-def run(job: JobSpec, stdout=None) -> int:
-    stdout = stdout or sys.stdout
-    if job.output != "table":
-        stems: dict = {}
-        for text in job.knots:
-            stem = _slug(text)
-            if stem in stems:
-                raise ValueError(f"knots {stems[stem]!r} and {text!r} would write the "
-                                 f"same {job.output} file stem {stem!r}")
-            stems[stem] = text
-    all_results = []
-    for text in job.knots:
-        recipe = parse_knot_spec(text)
-        results = compute_knot(recipe, job.invariants, job.engine, job.strip_acyclic)
-        all_results.append((recipe.label, results))
-    _emit(job, all_results, stdout)
-    return EXIT_OK
-
-
 def _cmd_compute(args) -> int:
     names = [n.strip() for chunk in args.invariant for n in chunk.split(",") if n.strip()]
     for name in names:
         if name not in INVARIANT_NAMES:
-            print(f"error: unknown invariant {name!r}; choose from "
-                  f"{', '.join(INVARIANT_NAMES)}", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError(f"unknown invariant {name!r}; choose from "
+                             f"{', '.join(INVARIANT_NAMES)}")
     invariants = list(dict.fromkeys(names))  # first mention order, no repeats
     if not invariants:
-        print("error: no invariants requested", file=sys.stderr)
-        return EXIT_PARSE
-    job = JobSpec(
-        knots=tuple(args.knot),
-        invariants=tuple(invariants),
-        engine=args.engine,
-        output=args.output,
-        output_dir=Path(args.output_dir),
-        strip_acyclic=args.strip_acyclic,
-    )
-    return run(job)
+        raise ValueError("no invariants requested")
+    if args.output != "table":
+        stems: dict = {}
+        for text in args.knot:
+            stem = _slug(text)
+            if stem in stems:
+                raise ValueError(f"knots {stems[stem]!r} and {text!r} would write the "
+                                 f"same {args.output} file stem {stem!r}")
+            stems[stem] = text
+    all_results = []
+    for text in args.knot:
+        recipe = parse_knot_spec(text)
+        results = compute_knot(recipe, invariants, args.engine, args.strip_acyclic)
+        all_results.append((recipe.label, results))
+    _emit(all_results, args.output, Path(args.output_dir))
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     for flag, value in (("--max-steps", args.max_steps),
                         ("--grid-denominator", args.grid_denominator)):
         if value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     results = run_verify(max_steps=args.max_steps,
                          grid_denominator=args.grid_denominator, seed=args.seed)
     ok = True
@@ -314,7 +280,6 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
-@_exit_codes
 def _cmd_dump(args) -> int:
     C, involution = build_knot(parse_knot_spec(args.knot))
     stage = args.stage
@@ -392,7 +357,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(merged)
     if getattr(args, "invariant", "missing") is None:
         args.invariant = [",".join(INVARIANT_NAMES)]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (EngineMismatchError, OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, EngineMismatchError):
+            return EXIT_MISMATCH
+        return EXIT_IO if isinstance(e, OSError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

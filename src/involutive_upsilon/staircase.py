@@ -17,6 +17,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -195,6 +196,8 @@ def steps_from_torus_knot(p: int, q: int) -> StaircaseSpec:
     """
     if not (isinstance(p, int) and isinstance(q, int)) or not (2 <= p < q):
         raise ValueError(f"need integers 2 <= p < q, got p={p!r}, q={q!r}")
+    if p * q >= sys.maxsize:  # the dense polynomial below has p*q + 1 entries
+        raise ValueError(f"p*q must be below {sys.maxsize}, got p={p}, q={q}")
     import math
     if math.gcd(p, q) != 1:
         raise ValueError(f"p={p} and q={q} are not coprime")

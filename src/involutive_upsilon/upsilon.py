@@ -5,14 +5,16 @@ generator is deg_t = (t/2) * Max + (1 - t/2) * Min, dropping by 1 per
 U power.  The level of a homology class is the minimum of deg_t over its
 cycle representatives; Upsilon is -2 times that level, computed exactly
 as a piecewise-linear function by a sweep over t that reduces the base
-cycle in filtration order once per breakpoint.  The sweep reads the
-complex's per-parity homology and emits the pieces (t_start, (slope,
-intercept)) with integer lines, which `PLFunction` stores as they are.
+cycle in filtration order once per breakpoint.  The sweep,
+`tower_upsilon`, reads the complex's per-parity homology and finds the
+pieces (t_start, (slope, intercept)) with integer lines, which `PLFunction`
+stores as they are.
 
-Variants: CLASSIC applies the same weights verbatim to the (alg, Alex)
-pair of an unfolded complex (t/2 on Alex); FOLDED uses the grading-0
-tower of the folded complex; UPPER and LOWER use the grading-0 and
-grading-1 towers of the involutive mapping cone.
+Variants: all four are `tower_upsilon` of one complex.  CLASSIC applies
+the same weights verbatim to the (alg, Alex) pair of an unfolded complex
+(t/2 on Alex); FOLDED uses the grading-0 tower of the folded complex;
+UPPER and LOWER use the grading-0 and grading-1 towers of the involutive
+mapping cone.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class UpsilonVariant(Enum):
     LOWER = "lower"
 
 
-def _upsilon_pieces(C: BifilteredComplex, grading: int):
-    """Upsilon of the rank-1 tower class as a piece list, by a sweep over t.
+def tower_upsilon(C: BifilteredComplex, grading: int) -> PLFunction:
+    """Upsilon of the rank-1 tower class in a grading, by a sweep over t.
 
     Each coordinate (the translate U^u x living in the grading, for a
     generator x of the grading's parity) carries the integer line
@@ -99,23 +101,13 @@ def _upsilon_pieces(C: BifilteredComplex, grading: int):
                 if xn * q > p * xd and xn * den < num * xd:
                     num, den = xn, xd
         if num == 2 * den:
-            return pieces
+            return PLFunction.from_pieces(pieces)
         p, q = num, den
-
-
-def nu_function(C: BifilteredComplex, grading: int) -> PLFunction:
-    """Exact minimal deg_t level of the rank-1 tower class, as a PL function."""
-    if C.mode is not FiltrationMode.MIN_MAX:
-        raise ValueError("nu_function needs a folded (MIN_MAX) complex")
-    pieces = _upsilon_pieces(C, grading)
-    return PLFunction.from_pieces(pieces).scale(Fraction(-1, 2))
 
 
 def upsilon_pair_from_cone(cone: BifilteredComplex):
     """(upper, lower) Upsilon functions of an involutive cone complex."""
-    upper = PLFunction.from_pieces(_upsilon_pieces(cone, 0))
-    lower = PLFunction.from_pieces(_upsilon_pieces(cone, 1))
-    return upper, lower
+    return tower_upsilon(cone, 0), tower_upsilon(cone, 1)
 
 
 def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = None,
@@ -147,25 +139,20 @@ def upsilon(C_knot: BifilteredComplex, which: UpsilonVariant,
         raise ValueError("upsilon expects the unfolded (ALG_ALEX) knot complex")
     which = UpsilonVariant(which)
     if which is UpsilonVariant.CLASSIC:
-        return PLFunction.from_pieces(_upsilon_pieces(C_knot, 0))
+        return tower_upsilon(C_knot, 0)
     if which is UpsilonVariant.FOLDED:
-        return PLFunction.from_pieces(_upsilon_pieces(fold(C_knot), 0))
+        return tower_upsilon(fold(C_knot), 0)
     cone = involutive_cone(C_knot, involution, strip=strip)
-    return PLFunction.from_pieces(
-        _upsilon_pieces(cone, 0 if which is UpsilonVariant.UPPER else 1))
+    return tower_upsilon(cone, 0 if which is UpsilonVariant.UPPER else 1)
 
 
 def v0_invariants(C_knot: BifilteredComplex,
                   involution: ChainMap | None = None):
-    """(upper V0, lower V0) = -1/2 of the respective Upsilon at t = 2."""
-    cone = involutive_cone(C_knot, involution)
-    upper, lower = upsilon_pair_from_cone(cone)
-    v_up = -upper(Fraction(2)) / 2
-    v_low = -lower(Fraction(2)) / 2
-    for name, v in (("upper", v_up), ("lower", v_low)):
-        if v.denominator != 1:
-            raise ValueError(f"{name} V0 = {v} is not an integer")
-    return v_up, v_low
+    """(upper V0, lower V0) = -1/2 of the respective Upsilon at t = 2.
+
+    Integral: at t = 2 every sweep line is 2 * (u - f2), an even integer."""
+    upper, lower = upsilon_pair_from_cone(involutive_cone(C_knot, involution))
+    return -upper(Fraction(2)) / 2, -lower(Fraction(2)) / 2
 
 
 def filtration_width(C: BifilteredComplex) -> int:

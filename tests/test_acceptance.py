@@ -11,16 +11,16 @@ import time
 
 import pytest
 
-from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
-                                Generator, Sign, StaircaseSpec, UpsilonVariant,
+from involutive_upsilon import (ChainMap, Sign, StaircaseSpec, UpsilonVariant,
                                 direct_sum, essential_signature,
                                 involutive_cone, materialize_closed_form,
                                 closed_form_cone_reduction, reduce_bifiltered,
                                 staircase_from_steps, staircase_involution,
                                 upsilon, upsilon_pair_from_cone)
 from involutive_upsilon.reduction import generator_signature
-from involutive_upsilon.verify import (CHECKS, VerifySettings, corpus_knots,
-                                       symmetric_specs, torus_knot_corpus)
+from involutive_upsilon.verify import (CHECKS, VerifySettings, _acyclic_summand,
+                                       corpus_knots, symmetric_specs,
+                                       torus_knot_corpus)
 
 # seconds per check, filled by test_verify_check for the suite budget
 SECONDS = {}
@@ -104,22 +104,6 @@ def test_criterion_6_v0_relation():
               f"T(3,7) gives (2, 2)")
 
 
-def _paired_acyclic_box(rng):
-    gr = rng.randrange(-2, 3)
-    a, b = rng.randrange(-4, 5), rng.randrange(-4, 5)
-    if rng.random() < 0.5:
-        a = b
-    gens = [Generator("x", gr, a, b), Generator("y", gr - 1, a, b)]
-    arrows = {("x", "y")}
-    inv = {("x", "x"), ("y", "y")}
-    if a != b:
-        gens += [Generator("xs", gr, b, a), Generator("ys", gr - 1, b, a)]
-        arrows.add(("xs", "ys"))
-        inv = {("x", "xs"), ("xs", "x"), ("y", "ys"), ("ys", "y")}
-    return BifilteredComplex(tuple(gens), frozenset(arrows),
-                             FiltrationMode.ALG_ALEX), inv
-
-
 def test_criterion_7_acyclic_summand_invariance():
     rng = random.Random(20260808)
     knots = [(label, C) for label, C in corpus_knots(21) if label != "unknot"]
@@ -127,7 +111,9 @@ def test_criterion_7_acyclic_summand_invariance():
         base_inv = staircase_involution(C)
         base = {w: upsilon(C, w, base_inv) for w in UpsilonVariant}
         for _ in range(20):
-            Z, z_inv = _paired_acyclic_box(rng)
+            # one shared Random; a diagonal box is (b, b), where verify's is (a, a)
+            gr, a, b = rng.randrange(-2, 3), rng.randrange(-4, 5), rng.randrange(-4, 5)
+            Z, z_inv = _acyclic_summand(gr, b if rng.random() < 0.5 else a, b)
             S = direct_sum(C, Z)
             inv = ChainMap(S, S, frozenset(set(base_inv.arrows) | z_inv))
             for w in UpsilonVariant:

@@ -61,6 +61,8 @@ def test_parse_file():
     pytest.param("steps:+:" + ",".join(["9" * 4300] * 4),
                  "position 8: step sum has more than 2000 digits",
                  id="steps:+:N,N,N,N-N=<4300 nines>-step sum too long"),
+    pytest.param("torus:2,99999999999999999999", r"position 6: p\*q must be below",
+                 id="torus:2,10^20-1-p*q past sys.maxsize"),
 ])
 def test_parse_errors_are_positioned(text, fragment):
     with pytest.raises(KnotSpecError, match=fragment) as exc:
@@ -109,7 +111,7 @@ def test_compute_engine_both_agrees(capsys):
     assert "knot torus:2,7" in out
 
 
-def test_compute_engine_mismatch_exit(capsys, monkeypatch):
+def corrupt_closed_form(monkeypatch):
     from involutive_upsilon import reduction
 
     real = reduction.materialize_closed_form
@@ -121,6 +123,10 @@ def test_compute_engine_mismatch_exit(capsys, monkeypatch):
         return BifilteredComplex(tuple(gens), C.arrows, C.mode)
 
     monkeypatch.setattr(reduction, "materialize_closed_form", corrupted)
+
+
+def test_compute_engine_mismatch_exit(capsys, monkeypatch):
+    corrupt_closed_form(monkeypatch)
     code, out, err = run_cli(capsys, "compute", "--knot", "torus:2,5",
                              "--invariant", "upper", "--engine", "both")
     assert code == EXIT_MISMATCH
@@ -268,6 +274,38 @@ def test_error_exit_codes(capsys, command, knot, code, fragment):
     assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
 
 
+def fail_verify_with_oserror(monkeypatch):
+    from involutive_upsilon import cli
+
+    def unreadable(**settings):
+        raise OSError("corpus unreadable")
+
+    monkeypatch.setattr(cli, "run_verify", unreadable)
+
+
+@pytest.mark.parametrize("argv, setup, code", [
+    (["compute", "--knot", "torus:2,3", "--invariant", "tau"], None, EXIT_PARSE),
+    (["compute", "--knot", "file:/nope/missing.json"], None, EXIT_IO),
+    (["compute", "--knot", "torus:2,5", "--invariant", "upper", "--engine", "both"],
+     corrupt_closed_form, EXIT_MISMATCH),
+    (["verify", "--grid-denominator", "0"], None, EXIT_PARSE),
+    (["verify", "--max-steps", "1"], fail_verify_with_oserror, EXIT_IO),
+    (["dump-complex", "--knot", "steps:+:1,2", "--stage", "folded"], None, EXIT_PARSE),
+    (["dump-complex", "--knot", "torus:2,3", "-o", "{tmp}/no-such-dir/c.json"], None,
+     EXIT_IO),
+], ids=["compute-value", "compute-os", "compute-mismatch", "verify-value", "verify-os",
+        "dump-value", "dump-os"])
+def test_one_exit_code_mapping(capsys, monkeypatch, tmp_path, argv, setup, code):
+    """main maps ValueError, OSError and EngineMismatchError of every command
+    to 2, 5 and 4, with one `error:` line and no traceback."""
+    if setup is not None:
+        setup(monkeypatch)
+    got, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    first, *rest = err.splitlines()
+    assert got == code and out == "" and "Traceback" not in err
+    assert first.startswith("error: ") and not any(r.startswith("error: ") for r in rest)
+
+
 def test_dump_complex_error_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "dump-complex", "--knot", "steps:+:1,2",
                              "--stage", "folded")
@@ -342,8 +380,25 @@ def test_compute_mirror_gets_own_files(capsys, tmp_path, knot, mirror_knot, stem
         assert (tmp_path / spec / path.name).read_text() == path.read_text()
 
 
+# the whole spec as the file stem would be 567 bytes, past the usual name limit
+LONG_STEPS = ",".join(map(str, [1, 2] * 70 + [2, 1] * 70))
+
+
+def test_compute_long_spec_writes_bounded_file_names(capsys, tmp_path):
+    knots = [f"steps:+:{LONG_STEPS}", f"steps:-:{LONG_STEPS}"]
+    code, out, err = run_cli(capsys, "compute", "--knot", knots[0], "--knot", knots[1],
+                             "--output", "csv", "--output-dir", str(tmp_path))
+    assert code == EXIT_OK and err == ""
+    written = [Path(line.removeprefix("wrote ")) for line in out.splitlines()]
+    assert sorted(written) == sorted(tmp_path.iterdir()) and len(written) == 10
+    assert all(len(path.name.encode()) <= 255 for path in written)
+    stems = {path.name.split(".")[0] for path in written}
+    assert len(stems) == 2  # the mirror keeps its own stem
+
+
 @pytest.mark.parametrize("knots", [("torus:3,7", "torus:3,7"),
-                                   ("file:a-b.json", "file:amb.json")])
+                                   ("file:a-b.json", "file:amb.json"),
+                                   (f"steps:+:{LONG_STEPS}",) * 2])
 def test_compute_same_stem_exit(capsys, tmp_path, knots):
     argv = ["compute", "--invariant", "classic", "--output", "csv",
             "--output-dir", str(tmp_path)]

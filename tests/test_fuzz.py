@@ -2,7 +2,9 @@
 complex or raises ValueError (which the CLI turns into exit 2), and
 `compute --knot file:PATH` and `dump-complex --knot file:PATH` at every
 stage end with exit 0, 2 or 5, never an exception.  A dump that succeeds
-parses back, and at the base stage it re-dumps to the same bytes.
+parses back, and at the base stage it re-dumps to the same bytes.  Knot
+specs: `compute` on any torus:, -torus: or steps: string ends with exit 0
+or 2.
 
 Derandomized, without an example database, so every run checks the same
 inputs.
@@ -11,6 +13,7 @@ inputs.
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,3 +125,25 @@ def test_compute_file_end_to_end(knot_path, doc, strip, stage):
         C, involution = loads_complex(out.getvalue())
         if stage == "base":
             assert dumps_complex(C, involution) == out.getvalue()
+
+
+# small numbers, or odd ones (so torus parameters are often coprime) past
+# sys.maxsize; a mid-size torus knot would build a dense polynomial of
+# p*q + 1 coefficients
+numbers = st.integers(-30, 30) | st.integers(min_value=sys.maxsize + 1).map(lambda n: n | 1)
+torus_specs = st.builds("{}{},{}".format, st.sampled_from(["torus:", "-torus:"]),
+                        numbers, numbers)
+steps_specs = st.builds(lambda head, nums: head + ",".join(map(str, nums)),
+                        st.sampled_from(["steps:+:", "steps:-:"]),
+                        st.lists(numbers, min_size=1, max_size=6))
+knot_specs = (st.builds(str.__add__, torus_specs | steps_specs,
+                        st.just("") | st.text(max_size=3))
+              | st.text().filter(lambda text: not text.startswith("file:")))
+
+
+@FUZZ
+@given(knot_specs)
+def test_compute_knot_spec_end_to_end(spec):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["compute", f"--knot={spec}", "--invariant", "classic"])
+    assert code in (0, 2)

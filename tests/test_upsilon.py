@@ -7,8 +7,8 @@ from involutive_upsilon import (BifilteredComplex, FiltrationMode,
                                 Generator, PLFunction, Sign, StaircaseSpec,
                                 UpsilonVariant, closed_form_cone_reduction,
                                 direct_sum, fold, materialize_closed_form,
-                                involutive_cone, mirror, nu_function,
-                                slope_bound_check, staircase_from_steps,
+                                involutive_cone, mirror, slope_bound_check,
+                                staircase_from_steps, tower_upsilon,
                                 unknot_complex, upsilon, upsilon_pair_from_cone,
                                 v0_invariants)
 from involutive_upsilon.complexes import homology_data
@@ -21,26 +21,26 @@ from oracles import (brute_nu_value, oss_classic_value, padded_nu_value,
 
 
 def single(f1, f2):
-    """One folded generator at (Min, Max) = (f1, f2): nu is its deg_t."""
+    """One folded generator at (Min, Max) = (f1, f2): Upsilon is -2 deg_t."""
     return BifilteredComplex((Generator("g", 0, f1, f2),), frozenset(),
                              FiltrationMode.MIN_MAX)
 
 
 def test_deg_t_spot_values():
-    assert nu_function(single(0, 6), 0)(Fraction(1, 2)) == Fraction(3, 2)
+    assert tower_upsilon(single(0, 6), 0)(Fraction(1, 2)) == -3
     for t in (0, Fraction(1, 3), 1, 2):
-        assert nu_function(single(2, 2), 0)(t) == 2
-    assert nu_function(single(1, 4), 0)(Fraction(1, 2)) == Fraction(7, 4)
+        assert tower_upsilon(single(2, 2), 0)(t) == -4
+    assert tower_upsilon(single(1, 4), 0)(Fraction(1, 2)) == Fraction(-7, 2)
 
 
 def test_deg_t_u_translate():
-    # grading -6 holds the U^3 translate, three levels lower
-    assert nu_function(single(0, 6), -6)(Fraction(1, 2)) == Fraction(3, 2) - 3
+    # grading -6 holds the U^3 translate, three levels lower: Upsilon is 6 higher
+    assert tower_upsilon(single(0, 6), -6)(Fraction(1, 2)) == -3 + 6
 
 
 def test_deg_t_range_check():
     with pytest.raises(ValueError, match="outside"):
-        nu_function(single(0, 0), 0)(Fraction(5, 2))
+        tower_upsilon(single(0, 0), 0)(Fraction(5, 2))
 
 
 def tower_terms(C, grading):
@@ -61,30 +61,25 @@ def test_tower_witness_t37_cone(t37):
     # localized homology is 2-periodic: grading 2 sees the U-translate
     assert tower_terms(cone, 2) == {(u - 1, g) for u, g in tower_terms(cone, 0)}
     with pytest.raises(ValueError, match="rank"):
-        nu_function(fold(unknot_complex()), 1)
+        tower_upsilon(fold(unknot_complex()), 1)
 
 
 def test_tower_witness_rejects_rank_two():
     S = direct_sum(unknot_complex(), unknot_complex())
     with pytest.raises(ValueError, match="rank"):
-        nu_function(fold(S), 0)
+        tower_upsilon(fold(S), 0)
 
 
 def test_nu_t23_folded(t23):
-    # both corners sit at folded bidegree (0, 1): nu(t) = t/2
-    f = nu_function(fold(t23), 0)
-    assert f == PLFunction.from_breakpoints(((0, 0), (2, 1)))
-
-
-def test_nu_requires_folded(t23):
-    with pytest.raises(ValueError, match="MIN_MAX"):
-        nu_function(t23, 0)
+    # both corners sit at folded bidegree (0, 1): deg_t = t/2, Upsilon = -t
+    f = tower_upsilon(fold(t23), 0)
+    assert f == PLFunction.from_breakpoints(((0, 0), (2, -2)))
 
 
 def test_nu_t37_cone_spot_values(t37):
     cone = involutive_cone(t37)
-    assert nu_function(cone, 0)(Fraction(1, 2)) == Fraction(3, 2)
-    assert nu_function(cone, 1)(Fraction(1, 2)) == 2
+    assert tower_upsilon(cone, 0)(Fraction(1, 2)) == -3
+    assert tower_upsilon(cone, 1)(Fraction(1, 2)) == -4
 
 
 def test_nu_matches_brute_oracle():
@@ -97,17 +92,17 @@ def test_nu_matches_brute_oracle():
             cases.append((cone, 0))
             cases.append((cone, 1))
     for C, grading in cases:
-        f = nu_function(C, grading)
+        f = tower_upsilon(C, grading)
         for t in (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(7, 5), 2):
-            assert f(t) == brute_nu_value(C, grading, t)
+            assert f(t) == -2 * brute_nu_value(C, grading, t)
 
 
 def test_nu_unreduced_matches_oracle(t25):
     cone = involutive_cone(t25, reduce_cone=False)
     for grading in (0, 1):
-        f = nu_function(cone, grading)
+        f = tower_upsilon(cone, grading)
         for t in (0, Fraction(1, 2), 1, Fraction(5, 3), 2):
-            assert f(t) == brute_nu_value(cone, grading, t)
+            assert f(t) == -2 * brute_nu_value(cone, grading, t)
 
 
 def test_nu_with_surviving_acyclic_summand_matches_oracle(t37):
@@ -116,10 +111,10 @@ def test_nu_with_surviving_acyclic_summand_matches_oracle(t37):
     red = involutive_cone(t37)
     assert red.n == 10
     for grading in (0, 1):
-        f = nu_function(red, grading)
+        f = tower_upsilon(red, grading)
         for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1,
                   Fraction(3, 2), Fraction(9, 5), 2):
-            assert f(t) == brute_nu_value(red, grading, t)
+            assert f(t) == -2 * brute_nu_value(red, grading, t)
 
 
 def test_nu_window_padding_no_effect():
@@ -129,10 +124,10 @@ def test_nu_window_padding_no_effect():
         stair = staircase_from_steps(StaircaseSpec(steps, Sign.POSITIVE))
         cone = involutive_cone(stair)
         for X, grading in ((cone, 0), (cone, 1), (fold(stair), 0)):
-            f = nu_function(X, grading)
+            f = tower_upsilon(X, grading)
             window = padded_window(X, grading)
             for t in window_grid(X, window[0]):
-                assert f(t) == padded_nu_value(X, window, t), (steps, grading, t)
+                assert f(t) == -2 * padded_nu_value(X, window, t), (steps, grading, t)
 
 
 def breakpoints_and_midpoints(f):
@@ -147,9 +142,9 @@ def test_nu_matches_brute_oracle_on_corpus(steps, sign):
     C = staircase_from_steps(StaircaseSpec(steps, sign))
     cone = involutive_cone(C)
     for X, grading in ((fold(C), 0), (cone, 0), (cone, 1)):
-        f = nu_function(X, grading)
+        f = tower_upsilon(X, grading)
         for t in breakpoints_and_midpoints(f):
-            assert f(t) == brute_nu_value(X, grading, t)
+            assert f(t) == -2 * brute_nu_value(X, grading, t)
 
 
 @pytest.mark.parametrize("steps, sign", [
