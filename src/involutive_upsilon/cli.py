@@ -23,6 +23,7 @@ from .complexes import (MAX_DIGITS, TOO_LONG, FiltrationMode, dumps_complex,
                         loads_complex, validate)
 from .involutive import ChainMap, chain_map_violations, fold, staircase_involution
 from .plfunction import PLFunction
+from .reduction import closed_form_cone_reduction, materialize_closed_form
 from .render import (UPSILON_LABELS, format_plfunction, format_rational,
                      plfunction_csv, render_svg)
 from .staircase import Sign, StaircaseSpec, staircase_from_steps, steps_from_torus_knot
@@ -159,7 +160,6 @@ def _cone_pair(C, involution, engine, recipe, strip):
     if spec is None or not spec.symmetric:
         raise ValueError(
             f"knot {recipe.label!r}: the closed-form engine needs a symmetric staircase spec")
-    from .reduction import closed_form_cone_reduction, materialize_closed_form
     closed = upsilon_pair_from_cone(materialize_closed_form(closed_form_cone_reduction(spec)))
     if engine == "closed-form":
         return closed

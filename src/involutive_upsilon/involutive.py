@@ -88,18 +88,6 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
     return out
 
 
-def is_involution(M: ChainMap) -> bool:
-    if M.source is not M.target and M.source != M.target:
-        return False
-    for i, ys in enumerate(M.images):
-        acc: set = set()
-        for y in ys:
-            acc.symmetric_difference_update(M.images[y])
-        if acc != {i}:
-            return False
-    return True
-
-
 def fold(C: BifilteredComplex) -> BifilteredComplex:
     """Replace each bidegree by (min, max); the Min-Max bifiltration.  Only
     f1 and f2 are new tuples: ids, gradings and targets are C's own."""
@@ -119,8 +107,9 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
     """The reflection involution of a symmetric staircase complex.
 
     Each generator is matched with the unique generator of the same grading
-    and swapped bidegree; the result is verified to be a skew-filtered chain
-    involution.  Fails on complexes without that symmetry.
+    and swapped bidegree, so the matching is its own inverse; the result is
+    verified to be a skew-filtered chain map.  Fails on complexes without
+    that symmetry.
     """
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("involution matching needs an unfolded (ALG_ALEX) complex")
@@ -138,8 +127,6 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
     problems = chain_map_violations(M, skew=True)
     if problems:
         raise ValueError("reflection is not a skew chain map: " + "; ".join(problems))
-    if not is_involution(M):
-        raise ValueError("reflection matching is not an involution")
     return M
 
 

@@ -80,7 +80,3 @@ class PLFunction:
 
     def slopes(self):
         return tuple(s for _, (s, _) in self._pieces)
-
-    def scale(self, c) -> "PLFunction":
-        c = Fraction(c)
-        return PLFunction(tuple((t, (c * s, c * b)) for t, (s, b) in self._pieces))

@@ -17,9 +17,12 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, compress
+from operator import sub
 
 from .complexes import BifilteredComplex, FiltrationMode
 
@@ -161,59 +164,28 @@ def classify(spec: StaircaseSpec) -> StaircaseClass:
 
 # -- torus knots ------------------------------------------------------------
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_divexact(num, den):
-    num = list(num)
-    terms = [(j, cd) for j, cd in enumerate(den) if cd]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ValueError("inexact polynomial division")
-        q[i] = c // den[-1]
-        if q[i]:
-            for j, cd in terms:
-                num[i + j] -= q[i] * cd
-    if any(num):
-        raise ValueError("inexact polynomial division")
-    return q
-
-
 def steps_from_torus_knot(p: int, q: int) -> StaircaseSpec:
     """Step list of the positive torus knot T(p, q).
 
     The steps are the successive differences of the exponents appearing in
-    (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), whose coefficients alternate
-    between +1 and -1 for coprime p < q.
+    the Alexander polynomial (1 - t) * sum_{j<p} t^{jq} / (1 - t^p), found by
+    dividing that numerator by 1 - t^p as a power series up to its degree
+    (p - 1)(q - 1): delta[n] += delta[n - p], one running sum per residue
+    class mod p.  For coprime p < q its nonzero coefficients alternate
+    between +1 and -1 and its exponents are symmetric.
     """
     if not (isinstance(p, int) and isinstance(q, int)) or not (2 <= p < q):
         raise ValueError(f"need integers 2 <= p < q, got p={p!r}, q={q!r}")
-    if p * q >= sys.maxsize:  # the dense polynomial below has p*q + 1 entries
+    if p * q >= sys.maxsize:  # bounds (p-1)(q-1) + 1, the length of the list below
         raise ValueError(f"p*q must be below {sys.maxsize}, got p={p}, q={q}")
-    import math
     if math.gcd(p, q) != 1:
         raise ValueError(f"p={p} and q={q} are not coprime")
-
-    def cyc(n):  # t^n - 1
-        c = [0] * (n + 1)
-        c[0], c[n] = -1, 1
-        return c
-
-    delta = _poly_divexact(_poly_mul(cyc(p * q), cyc(1)), _poly_mul(cyc(p), cyc(q)))
-    exps = [i for i, c in enumerate(delta) if c]
-    exps.reverse()
-    for rank_pos, e in enumerate(exps):
-        if delta[e] != (1 if rank_pos % 2 == 0 else -1):
-            raise ValueError(f"unexpected coefficient pattern for T({p},{q})")
-    steps = tuple(exps[i] - exps[i + 1] for i in range(len(exps) - 1))
-    spec = StaircaseSpec(steps, Sign.POSITIVE)
-    assert spec.symmetric, f"torus knot steps {steps} should be symmetric"
-    return spec
+    top = (p - 1) * (q - 1)
+    delta = [0] * (top + 1)
+    for jq in range(0, top, q):  # jq < top, since q does not divide (p - 1)(q - 1)
+        delta[jq] += 1
+        delta[jq + 1] -= 1
+    for r in range(p):
+        delta[r::p] = accumulate(delta[r::p])
+    exps = list(compress(range(top + 1), delta))
+    return StaircaseSpec(tuple(map(sub, exps[1:], exps)), Sign.POSITIVE)

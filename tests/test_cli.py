@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from involutive_upsilon import BifilteredComplex, loads_complex
+from involutive_upsilon import BifilteredComplex, cli, loads_complex
 from involutive_upsilon.cli import (EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                                     KnotSpecError, main, parse_knot_spec)
 from involutive_upsilon.staircase import Sign
@@ -112,9 +112,7 @@ def test_compute_engine_both_agrees(capsys):
 
 
 def corrupt_closed_form(monkeypatch):
-    from involutive_upsilon import reduction
-
-    real = reduction.materialize_closed_form
+    real = cli.materialize_closed_form
 
     def corrupted(out):
         # every filtration level one lower: Upsilon moves, the shape does not
@@ -122,7 +120,7 @@ def corrupt_closed_form(monkeypatch):
         gens = [replace(g, f1=g.f1 - 1, f2=g.f2 - 1) for g in C.generators]
         return BifilteredComplex(tuple(gens), C.arrows, C.mode)
 
-    monkeypatch.setattr(reduction, "materialize_closed_form", corrupted)
+    monkeypatch.setattr(cli, "materialize_closed_form", corrupted)
 
 
 def test_compute_engine_mismatch_exit(capsys, monkeypatch):

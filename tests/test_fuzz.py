@@ -128,8 +128,8 @@ def test_compute_file_end_to_end(knot_path, doc, strip, stage):
 
 
 # small numbers, or odd ones (so torus parameters are often coprime) past
-# sys.maxsize; a mid-size torus knot would build a dense polynomial of
-# p*q + 1 coefficients
+# sys.maxsize; a mid-size torus knot would build a dense list of
+# (p-1)(q-1) + 1 Alexander polynomial coefficients
 numbers = st.integers(-30, 30) | st.integers(min_value=sys.maxsize + 1).map(lambda n: n | 1)
 torus_specs = st.builds("{}{},{}".format, st.sampled_from(["torus:", "-torus:"]),
                         numbers, numbers)

@@ -69,11 +69,6 @@ def test_eval_and_slopes():
         f(3)
 
 
-def test_scale():
-    f = PLFunction.from_breakpoints(((0, 0), (2, -4)))
-    assert f.scale(Fraction(-1, 2)) == PLFunction.from_breakpoints(((0, 0), (2, 2)))
-
-
 def test_format_plfunction():
     f = PLFunction.from_breakpoints(((0, 0), (Fraction(2, 3), -4), (2, -4)))
     assert format_plfunction(f) == "-6t on [0,2/3]; -4 on [2/3,2]"

@@ -34,14 +34,21 @@ def test_torus_steps_goldens(p, q, steps):
 
 
 def test_torus_steps_match_semigroup_oracle():
-    small = [(p, q) for p in range(2, 8) for q in range(p + 1, 31)
-             if p * q <= 60 and math.gcd(p, q) == 1]
+    small = [(p, q) for p in range(2, 45) for q in range(p + 1, 2000 // p + 1)
+             if math.gcd(p, q) == 1]
     # and the long torus knots of the reduce-long benchmark workload
     for p, q in small + [(11, 60), (3, 200), (7, 101), (2, 301), (11, 81), (13, 70)]:
         spec = steps_from_torus_knot(p, q)
         assert spec.steps == semigroup_torus_steps(p, q)
         assert spec.symmetric
         assert sum(spec.steps) == (p - 1) * (q - 1)
+
+
+@pytest.mark.parametrize("p", [*range(2, 13), 1000])
+def test_torus_steps_consecutive(p):
+    # the semigroup <p, p+1> has gaps in runs of length p-1, p-2, ..., 1
+    steps = steps_from_torus_knot(p, p + 1).steps
+    assert steps == tuple(a for k in range(1, p) for a in (k, p - k))
 
 
 @pytest.mark.parametrize("p,q,msg", [

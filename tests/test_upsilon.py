@@ -267,7 +267,8 @@ def test_classic_mirror_negates():
     """Υ_{−K} = −Υ_K, for the mirrored complex and for the negative staircase."""
     for steps in symmetric_specs(6):
         C = staircase_from_steps(StaircaseSpec(steps, Sign.POSITIVE))
-        negated = upsilon(C, UpsilonVariant.CLASSIC).scale(-1)
+        negated = PLFunction.from_pieces((t, (-s, -b)) for t, (s, b)
+                                         in upsilon(C, UpsilonVariant.CLASSIC).pieces())
         assert upsilon(mirror(C), UpsilonVariant.CLASSIC) == negated, steps
         neg = staircase_from_steps(StaircaseSpec(steps, Sign.NEGATIVE))
         assert upsilon(neg, UpsilonVariant.CLASSIC) == negated, steps
