@@ -5,8 +5,8 @@ Commands:
   verify        run the cross-check suites (the repository's acceptance gate)
   dump-complex  emit the JSON of a knot complex at a chosen pipeline stage
 
-Exit codes: 0 success, 2 parse/usage error, 4 engine or verification
-mismatch, 5 I/O error.
+Exit codes: 0 success, 2 parse/usage error or out of memory, 4 engine or
+verification mismatch, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -114,12 +114,9 @@ def parse_knot_spec(text: str) -> KnotRecipe:
 def build_knot(recipe: KnotRecipe):
     """Build (complex, involution-or-None) for a parsed knot spec."""
     if recipe.kind == "steps":
-        C = staircase_from_steps(StaircaseSpec(recipe.steps, recipe.sign))
-        try:
-            involution = staircase_involution(C)
-        except ValueError:
-            involution = None
-        return C, involution
+        spec = StaircaseSpec(recipe.steps, recipe.sign)
+        C = staircase_from_steps(spec)
+        return C, staircase_involution(C) if spec.symmetric else None
     text = Path(recipe.path).read_text(encoding="utf-8")
     C, inv_arrows = loads_complex(text)
     report = validate(C)
@@ -364,6 +361,9 @@ def main(argv=None) -> int:
         if isinstance(e, EngineMismatchError):
             return EXIT_MISMATCH
         return EXIT_IO if isinstance(e, OSError) else EXIT_PARSE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

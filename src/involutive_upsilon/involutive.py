@@ -5,10 +5,12 @@ The involution swaps the two filtrations, so it only preserves bidegrees
 after folding: the cone is therefore always built on a MIN_MAX complex.
 Its generators are an A copy (gradings shifted up by 1, index i) and a B
 copy (index n + i) of the input; the differential is the original one on
-each copy plus the block (involution + identity) from A to B.  Everything
-here reads a complex's columns, its `targets` and a chain map's `images`,
-the one form a `ChainMap` stores; ids are checked only by its public
-constructor and read only by its `arrows` view and by messages.
+each copy plus the block (involution + identity) from A to B.  Whether
+an involution is a skew-filtered chain map is checked only by the one
+gate, `upsilon.involutive_cone`.  Everything here reads a complex's
+columns, its `targets` and a chain map's `images`, the one form a
+`ChainMap` stores; ids are checked only by its public constructor and read
+only by its `arrows` view and by messages.
 """
 
 from __future__ import annotations
@@ -104,12 +106,12 @@ def fold_map(M: ChainMap) -> ChainMap:
 
 
 def staircase_involution(C: BifilteredComplex) -> ChainMap:
-    """The reflection involution of a symmetric staircase complex.
+    """The reflection matching of a symmetric staircase complex.
 
     Each generator is matched with the unique generator of the same grading
-    and swapped bidegree, so the matching is its own inverse; the result is
-    verified to be a skew-filtered chain map.  Fails on complexes without
-    that symmetry.
+    and swapped bidegree, so the matching is its own inverse.  Fails when a
+    generator has no unique partner; whether the matching commutes with the
+    differential is checked where it is used, by `upsilon.involutive_cone`.
     """
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("involution matching needs an unfolded (ALG_ALEX) complex")
@@ -123,11 +125,7 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
             raise ValueError(
                 f"no unique reflection partner for {C.ids[i]} at {(C.f1[i], C.f2[i])}: complex is not a symmetric staircase")
         images.append(tuple(partners))
-    M = ChainMap.indexed(C, C, tuple(images))
-    problems = chain_map_violations(M, skew=True)
-    if problems:
-        raise ValueError("reflection is not a skew chain map: " + "; ".join(problems))
-    return M
+    return ChainMap.indexed(C, C, tuple(images))
 
 
 def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
@@ -135,15 +133,13 @@ def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
 
     A-copy ids are prefixed "A." and gradings raised by 1, B-copy ids
     "B.".  The boundary of an A generator i is its original boundary
-    inside A plus (I + id)(i) in B, offset by n.
+    inside A plus (I + id)(i) in B, offset by n.  A constructor only: the
+    involution itself is checked by `upsilon.involutive_cone`.
     """
     if C.mode is not FiltrationMode.MIN_MAX:
         raise ValueError("mapping cone requires a folded (MIN_MAX) complex")
     if I_map.source != C or I_map.target != C:
         raise ValueError("involution must be a self map of the folded complex")
-    problems = chain_map_violations(I_map, skew=False)
-    if problems:
-        raise ValueError("involution is not a filtered chain map: " + "; ".join(problems))
     n = C.n
     ids = tuple(f"A.{s}" for s in C.ids) + tuple(f"B.{s}" for s in C.ids)
     targets = tuple(ts + tuple(n + y for y in sorted({*ys} ^ {i}))

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode
-from .involutive import ChainMap, fold, mapping_cone, staircase_involution
+from .involutive import (ChainMap, chain_map_violations, fold, mapping_cone,
+                         staircase_involution)
 from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
 
@@ -114,12 +115,17 @@ def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = Non
                     *, reduce_cone: bool = True,
                     strip: bool = False) -> BifilteredComplex:
     """Fold once, cone off (involution + identity), and optionally reduce.
-    Folding keeps indices, so the involution's `images` serve unchanged."""
+    The one gate on involutions: ValueError unless the given or derived one
+    is a skew-filtered chain map of C_knot.  Folding keeps indices, so the
+    involution's `images` serve unchanged."""
     if involution is None:
         involution = staircase_involution(C_knot)
     elif involution.source != C_knot or involution.target != C_knot:
         raise ValueError("involution must be a self map of the knot complex")
     F = fold(C_knot)
+    problems = chain_map_violations(involution, skew=True)
+    if problems:
+        raise ValueError("involution is not a skew-filtered chain map: " + "; ".join(problems))
     cone = mapping_cone(F, ChainMap.indexed(F, F, involution.images))
     if reduce_cone:
         cone = reduce_bifiltered(cone).reduced

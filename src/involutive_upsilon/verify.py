@@ -99,16 +99,14 @@ def check_t37_goldens(s: VerifySettings) -> str:
     spec = steps_from_torus_knot(3, 7)
     if spec.steps != (1, 2, 1, 2, 2, 1, 2, 1):
         raise CheckFailure(f"steps are {spec.steps}")
-    C = staircase_from_steps(spec)
-    upper = upsilon(C, UpsilonVariant.UPPER)
-    lower = upsilon(C, UpsilonVariant.LOWER)
+    upper, lower = upsilon_pair_from_cone(involutive_cone(staircase_from_steps(spec)))
     if upper != PLFunction.from_breakpoints(((0, 0), (Fraction(2, 3), -4), (2, -4))):
         raise CheckFailure(f"upper is {upper.breakpoints}")
     if lower != PLFunction.constant(-4):
         raise CheckFailure(f"lower is {lower.breakpoints}")
     if upper(Fraction(1, 2)) != -3 or lower(Fraction(1, 2)) != -4:
         raise CheckFailure("values at t=1/2 are off")
-    v0 = v0_invariants(C)
+    v0 = (-upper(Fraction(2)) / 2, -lower(Fraction(2)) / 2)
     if v0 != (2, 2):
         raise CheckFailure(f"V0 pair is {v0}")
     return "upper = -6t then -4, lower = -4, V0 = (2, 2)"
@@ -178,9 +176,8 @@ def check_ordering(s: VerifySettings) -> str:
     knots = corpus_knots(35)
     grid = _grid(s.grid_denominator)
     for label, C in knots:
-        low = upsilon(C, UpsilonVariant.LOWER)
+        up, low = upsilon_pair_from_cone(involutive_cone(C))
         mid = upsilon(C, UpsilonVariant.FOLDED)
-        up = upsilon(C, UpsilonVariant.UPPER)
         for t in grid:
             if not low(t) <= mid(t) <= up(t):
                 raise CheckFailure(f"{label}: ordering fails at t={t}")
@@ -275,8 +272,7 @@ def check_pl_normalization(s: VerifySettings) -> str:
 def check_v0(s: VerifySettings) -> str:
     knots = corpus_knots(35)
     for label, C in knots:
-        up = upsilon(C, UpsilonVariant.UPPER)
-        low = upsilon(C, UpsilonVariant.LOWER)
+        up, low = upsilon_pair_from_cone(involutive_cone(C))
         v_up, v_low = v0_invariants(C)
         if v_up != -up(Fraction(2)) / 2 or v_low != -low(Fraction(2)) / 2:
             raise CheckFailure(f"{label}: V0 does not match -1/2 Upsilon(2)")
@@ -288,8 +284,8 @@ def check_v0(s: VerifySettings) -> str:
 def check_slope_bound(s: VerifySettings) -> str:
     knots = corpus_knots(35)
     for label, C in knots:
-        for w in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
-            f = upsilon(C, w)
+        pair = upsilon_pair_from_cone(involutive_cone(C))
+        for w, f in zip((UpsilonVariant.UPPER, UpsilonVariant.LOWER), pair):
             if not slope_bound_check(f, C):
                 raise CheckFailure(f"{label}: {w.value} slope exceeds width "
                                    f"{filtration_width(C)}")

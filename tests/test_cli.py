@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from involutive_upsilon import BifilteredComplex, cli, loads_complex
+from involutive_upsilon import BifilteredComplex, cli, dumps_complex, loads_complex
 from involutive_upsilon.cli import (EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                                     KnotSpecError, main, parse_knot_spec)
 from involutive_upsilon.staircase import Sign
@@ -255,7 +255,6 @@ def test_dump_complex_stages(capsys, tmp_path):
 
 def test_dump_complex_idempotent_bytes(capsys):
     _, out, _ = run_cli(capsys, "dump-complex", "--knot", "steps:+:2,1,1,2")
-    from involutive_upsilon import dumps_complex
     C, inv = loads_complex(out)
     assert dumps_complex(C, inv) == out
 
@@ -265,6 +264,7 @@ def test_dump_complex_idempotent_bytes(capsys):
     ("torus:2,4", EXIT_PARSE, "coprime"),
     ("steps:+:1,x", EXIT_PARSE, "position 10"),
     ("file:/nope/missing.json", EXIT_IO, "missing.json"),
+    ("torus:3,1000000000000000000", EXIT_PARSE, "out of memory"),
 ])
 def test_error_exit_codes(capsys, command, knot, code, fragment):
     got, out, err = run_cli(capsys, command, "--knot", knot)
@@ -291,17 +291,31 @@ def fail_verify_with_oserror(monkeypatch):
     (["dump-complex", "--knot", "steps:+:1,2", "--stage", "folded"], None, EXIT_PARSE),
     (["dump-complex", "--knot", "torus:2,3", "-o", "{tmp}/no-such-dir/c.json"], None,
      EXIT_IO),
+    # 2e18 coefficients: past the list-size limit, so no memory is allocated
+    (["compute", "--knot", "torus:3,1000000000000000000"], None, EXIT_PARSE),
+    (["dump-complex", "--knot", "torus:3,1000000000000000000"], None, EXIT_PARSE),
 ], ids=["compute-value", "compute-os", "compute-mismatch", "verify-value", "verify-os",
-        "dump-value", "dump-os"])
+        "dump-value", "dump-os", "compute-memory", "dump-memory"])
 def test_one_exit_code_mapping(capsys, monkeypatch, tmp_path, argv, setup, code):
-    """main maps ValueError, OSError and EngineMismatchError of every command
-    to 2, 5 and 4, with one `error:` line and no traceback."""
+    """main maps ValueError, OSError, EngineMismatchError and MemoryError of
+    every command to 2, 5, 4 and 2, with one `error:` line and no traceback."""
     if setup is not None:
         setup(monkeypatch)
     got, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     first, *rest = err.splitlines()
     assert got == code and out == "" and "Traceback" not in err
     assert first.startswith("error: ") and not any(r.startswith("error: ") for r in rest)
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["dump-complex", "--stage", "base"]])
+def test_file_identity_involution_is_invalid(capsys, tmp_path, t23, argv):
+    """The identity on T(2,3) is filtered but not skew-filtered."""
+    path = tmp_path / "t23-identity.json"
+    path.write_text(dumps_complex(t23, {(g, g) for g in t23.ids}))
+    code, out, err = run_cli(capsys, *argv, "--knot", f"file:{path}")
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "involution invalid" in err
+    assert "v0->v0: bidegree (0, 1) exceeds (1, 0), not skew-filtered" in err
 
 
 def test_dump_complex_error_exit_codes(capsys, tmp_path):

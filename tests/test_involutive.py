@@ -7,7 +7,7 @@ from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
                                 fold, fold_map, homology_rank, involutive_cone,
                                 loads_complex, mapping_cone,
                                 staircase_from_steps, staircase_involution,
-                                unknot_complex, validate)
+                                unknot_complex, upsilon, UpsilonVariant, validate)
 from involutive_upsilon.cli import build_knot, parse_knot_spec
 from involutive_upsilon.involutive import chain_map_violations
 from involutive_upsilon.verify import symmetric_specs
@@ -88,12 +88,32 @@ def test_cone_rejects_unfolded(t25):
 
 
 def test_cone_rejects_unfiltered_involution(t25):
-    F = fold(t25)
     # map v0 onto the connector above it: not filtration preserving
-    bad = ChainMap(F, F, frozenset({("v0", "v1"), ("v1", "v0")} |
-                                   {(f"v{i}", f"v{i}") for i in (2, 3, 4)}))
-    with pytest.raises(ValueError, match="filtered chain map"):
-        mapping_cone(F, bad)
+    bad = ChainMap(t25, t25, frozenset({("v0", "v1"), ("v1", "v0")} |
+                                       {(f"v{i}", f"v{i}") for i in (2, 3, 4)}))
+    with pytest.raises(ValueError, match="skew-filtered chain map"):
+        involutive_cone(t25, bad)
+
+
+def test_cone_rejects_the_identity_on_the_trefoil(t23):
+    """The identity is a filtered chain map but not a skew-filtered one, so
+    every route through `involutive_cone` rejects it."""
+    identity = ChainMap(t23, t23, {(g, g) for g in t23.ids})
+    with pytest.raises(ValueError, match="v0->v0: bidegree .* not skew-filtered"):
+        involutive_cone(t23, identity)
+    with pytest.raises(ValueError, match="not a skew-filtered chain map"):
+        upsilon(t23, UpsilonVariant.LOWER, identity)
+
+
+def test_reflection_matching_that_is_not_a_chain_map():
+    """Unique partners (x <-> y, z fixed), but d x = z while d y = 0: the
+    matching is returned as it is, and the cone gate rejects it."""
+    C = BifilteredComplex((Generator("x", 1, 0, 1), Generator("y", 1, 1, 0),
+                           Generator("z", 0, 0, 0)), frozenset({("x", "z")}),
+                          FiltrationMode.ALG_ALEX)
+    assert staircase_involution(C).images == ((1,), (0,), (2,))
+    with pytest.raises(ValueError, match="x: does not commute with the differential"):
+        upsilon(C, UpsilonVariant.UPPER)
 
 
 def test_chain_map_violation_reports():

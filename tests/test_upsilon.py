@@ -160,25 +160,21 @@ def test_large_coset_knots(steps, sign):
     # elements can visit
     spec = StaircaseSpec(steps, sign)
     C = staircase_from_steps(spec)
-    f = {w: upsilon(C, w) for w in UpsilonVariant}
+    up, low = upsilon_pair_from_cone(involutive_cone(C))  # one cone for both
     closed = materialize_closed_form(closed_form_cone_reduction(spec))
-    assert upsilon_pair_from_cone(closed) == (f[UpsilonVariant.UPPER],
-                                              f[UpsilonVariant.LOWER])
-    classic = f[UpsilonVariant.CLASSIC]
+    assert upsilon_pair_from_cone(closed) == (up, low)
+    classic = upsilon(C, UpsilonVariant.CLASSIC)
     # the oracle is convex, so agreeing with a PL function at its breakpoints
     # and piece midpoints means agreeing everywhere
     mirrored = -1 if sign is Sign.NEGATIVE else 1  # classic Upsilon is odd under mirroring
     for t in breakpoints_and_midpoints(classic):
         assert classic(t) == mirrored * oss_classic_value(steps, t)
-    low, mid, up = (f[UpsilonVariant.LOWER], f[UpsilonVariant.FOLDED],
-                    f[UpsilonVariant.UPPER])
+    mid = upsilon(C, UpsilonVariant.FOLDED)
     for t in {t for g in (low, mid, up) for t, _ in g.breakpoints}:
         assert low(t) <= mid(t) <= up(t)
-    v_up, v_low = v0_invariants(C)
-    assert (v_up, v_low) == (-up(2) / 2, -low(2) / 2)
+    v_up, v_low = -up(2) / 2, -low(2) / 2
     assert v_up.denominator == v_low.denominator == 1
-    for w in (UpsilonVariant.UPPER, UpsilonVariant.LOWER):
-        assert slope_bound_check(f[w], C)
+    assert slope_bound_check(up, C) and slope_bound_check(low, C)
 
 
 def count_stops(monkeypatch):
