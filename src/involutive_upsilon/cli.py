@@ -126,8 +126,8 @@ def build_knot(recipe: KnotRecipe):
     involution = None
     if inv_arrows is not None:
         involution = ChainMap(C, C, inv_arrows)
-        problems = chain_map_violations(
-            involution, skew=C.mode is FiltrationMode.ALG_ALEX)
+        problems = (involution.skew_violations if C.mode is FiltrationMode.ALG_ALEX
+                    else chain_map_violations(involution))
         if problems:
             raise ValueError(f"{recipe.path}: involution invalid: " + "; ".join(problems))
     return C, involution

@@ -4,10 +4,12 @@ Vectors are plain Python ints: bit i is coordinate i, and a row operation
 is one big-integer XOR.  Windows of long staircase cones reach a few
 thousand coordinates; dense bitmask rows stay exact there and cost one
 machine word per 64 coordinates.  `reduce_columns` reduces a complex's
-columns once for its homology; `Eliminator` serves the Upsilon sweep, which
-reduces the same boundaries again under the bit order of each stop, once
-per piece of the answer, and back-substitutes over the stored pivots for
-its dual witness.
+columns once for its homology.  `Eliminator` serves the Upsilon sweep of a
+tower with a boundary column of three or more positions, which reduces
+the same boundaries again under the bit order of each stop, once per piece
+of the answer, and back-substitutes over the stored pivots for its dual
+witness; a tower whose columns all have at most two positions needs no
+elimination.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ Its generators are an A copy (gradings shifted up by 1, index i) and a B
 copy (index n + i) of the input; the differential is the original one on
 each copy plus the block (involution + identity) from A to B.  Whether
 an involution is a skew-filtered chain map is checked only by the one
-gate, `upsilon.involutive_cone`.  Everything here reads a complex's
-columns, its `targets` and a chain map's `images`, the one form a
-`ChainMap` stores; ids are checked only by its public constructor and read
-only by its `arrows` view and by messages.
+gate, `upsilon.involutive_cone`, and by the CLI when it reads a file, both
+through `ChainMap.skew_violations`, so each map is checked once.
+Everything here reads a complex's columns, its `targets` and a chain map's
+`images`, the one form a `ChainMap` stores; ids are checked only by its
+public constructor and read only by its `arrows` view and by messages.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ class ChainMap:
         src, tgt = self.source.ids, self.target.ids
         return frozenset((src[i], tgt[j]) for i, ys in enumerate(self.images) for j in ys)
 
+    @cached_property
+    def skew_violations(self) -> tuple:
+        """`chain_map_violations(self, skew=True)`, run once per map: the
+        CLI's check of a file's involution and the cone's gate both read it."""
+        return tuple(chain_map_violations(self, skew=True))
+
 
 def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
     """Check the chain-map identity, grading preservation and filteredness.
@@ -92,12 +99,16 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
 
 def fold(C: BifilteredComplex) -> BifilteredComplex:
     """Replace each bidegree by (min, max); the Min-Max bifiltration.  Only
-    f1 and f2 are new tuples: ids, gradings and targets are C's own."""
+    f1 and f2 are new tuples: ids, gradings and targets are C's own, so C's
+    homology, which reads only those, carries over if C has computed it."""
     if C.mode is FiltrationMode.MIN_MAX:
         raise ValueError("complex is already folded")
-    return BifilteredComplex.indexed(C.ids, C.gradings, tuple(map(min, C.f1, C.f2)),
-                                     tuple(map(max, C.f1, C.f2)), C.targets,
-                                     FiltrationMode.MIN_MAX)
+    F = BifilteredComplex.indexed(C.ids, C.gradings, tuple(map(min, C.f1, C.f2)),
+                                  tuple(map(max, C.f1, C.f2)), C.targets,
+                                  FiltrationMode.MIN_MAX)
+    if "homology" in C.__dict__:
+        F.__dict__["homology"] = C.homology
+    return F
 
 
 def fold_map(M: ChainMap) -> ChainMap:

@@ -4,11 +4,14 @@ For t in [0, 2] the interpolated filtration degree of a translated
 generator is deg_t = (t/2) * Max + (1 - t/2) * Min, dropping by 1 per
 U power.  The level of a homology class is the minimum of deg_t over its
 cycle representatives; Upsilon is -2 times that level, computed exactly
-as a piecewise-linear function by a sweep over t that reduces the base
-cycle in filtration order once per breakpoint.  The sweep,
-`tower_upsilon`, reads the complex's per-parity homology and finds the
-pieces (t_start, (slope, intercept)) with integer lines, which `PLFunction`
-stores as they are.
+as a piecewise-linear function by `tower_upsilon`, which reads the
+complex's per-parity homology and finds the pieces (t_start, (slope,
+intercept)) with integer lines, which `PLFunction` stores as they are.
+When every boundary column has at most two positions (staircases, their
+mirrors and folds, reduced cones and stripped file knots), Upsilon is a
+lower envelope of upper envelopes of lines, read off one union-find with
+no elimination.  Otherwise a sweep over t reduces the base cycle in
+filtration order once per piece.
 
 Variants: all four are `tower_upsilon` of one complex.  CLASSIC applies
 the same weights verbatim to the (alg, Alex) pair of an unfolded complex
@@ -19,13 +22,13 @@ mapping cone.
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from fractions import Fraction
 
 from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode
-from .involutive import (ChainMap, chain_map_violations, fold, mapping_cone,
-                         staircase_involution)
+from .involutive import ChainMap, fold, mapping_cone, staircase_involution
 from .plfunction import PLFunction
 from .reduction import reduce_bifiltered, strip_acyclic
 
@@ -38,17 +41,144 @@ class UpsilonVariant(Enum):
 
 
 def tower_upsilon(C: BifilteredComplex, grading: int) -> PLFunction:
-    """Upsilon of the rank-1 tower class in a grading, by a sweep over t.
+    """Upsilon of the rank-1 tower class in a grading.
 
     Each coordinate (the translate U^u x living in the grading, for a
     generator x of the grading's parity) carries the integer line
     -2 * (f1 - u) - t * (f2 - f1), and Upsilon(t) is the largest, over the
-    cycles z of the class, of the least line of z's support.  At a stop t,
-    order the coordinates so that the lowest value takes the highest bit,
-    ties broken by slope (the order just after t), and reduce the base
-    cycle against the boundary basis, pivoting on the highest bit.  The
-    residual r = base + (boundaries) has leading bit `lead` with line L, and
-    two witnesses show Upsilon = L just after t:
+    cycles z of the class, of the least line of z's support.
+
+    When every boundary column has at most two positions (a forest tower:
+    staircases, their mirrors and folds, reduced cones, stripped file
+    knots), Upsilon is read off the columns with no elimination.  Join the
+    two positions of each 2-entry column; a component holding a 1-entry
+    column is freed.  A connected component's 2-entry columns span exactly
+    its even subsets, and a 1-entry column adds the rest, so the boundaries
+    are the chains whose parity is even on every component that is not
+    freed, and the class is every chain whose parity on each such component
+    matches the base cycle's.  Call the components where the base is odd,
+    and which are not freed, odd.  Then Upsilon(t) is the least, over the
+    odd components, of the largest line of the component:
+
+    - primal: the chain holding the top-line position of each odd component
+      and nothing else is in the class, so Upsilon >= that least top line;
+    - dual: the indicator of the component giving the least (the lead
+      component) is one on the base and zero on every boundary, so every
+      cycle of the class meets it, and Upsilon <= its top line.
+
+    So Upsilon is a lower envelope of upper envelopes of lines, found in
+    O(n log n): one union-find, one hull per odd component, and pairwise
+    merges of the hulls.  Any wider column goes to `_sweep_upsilon`.
+    """
+    lines, base, boundaries = _tower(C, grading)
+    if all(len(b) <= 2 for b in boundaries):
+        return _forest_upsilon(lines, base, boundaries)
+    return _sweep_upsilon(lines, base, boundaries)
+
+
+def _tower(C: BifilteredComplex, grading: int):
+    """(lines, base, boundaries) of the grading's tower: the (slope,
+    intercept) of each coordinate, the positions of the base cycle and the
+    boundary columns as position tuples.  ValueError unless the homology
+    has rank 1.  The set-up is linear in the arrows."""
+    indices, reps, boundaries = C.homology[grading % 2]
+    if len(reps) != 1:
+        raise ValueError(
+            f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
+    base = [c for c, b in enumerate(reversed(bin(reps[0]))) if b == "1"]
+    lines = [(C.f1[i] - C.f2[i], 2 * ((C.gradings[i] - grading) // 2 - C.f1[i]))
+             for i in indices]
+    return lines, base, boundaries
+
+
+def _forest_upsilon(lines, base, boundaries) -> PLFunction:
+    """The forest path of `tower_upsilon`: every column has <= 2 positions."""
+    parent = list(range(len(lines)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    freed = []
+    for col in boundaries:
+        if len(col) == 2:
+            parent[find(col[0])] = find(col[1])
+        else:
+            freed.append(col[0])
+    roots = list(map(find, range(len(lines))))
+    odd = set()
+    for k in base:
+        odd ^= {roots[k]}
+    odd.difference_update(roots[k] for k in freed)
+    members = {root: [] for root in odd}
+    for root, line in zip(roots, lines):
+        if root in odd:
+            members[root].append(line)
+    hulls = deque(map(_upper_envelope, members.values()))
+    while len(hulls) > 1:  # pairwise, so each piece is merged O(log m) times
+        hulls.append(_lower_envelope(hulls.popleft(), hulls.popleft()))
+    return PLFunction.from_pieces((Fraction(*t), line) for t, line in hulls[0])
+
+
+def _upper_envelope(lines) -> list:
+    """Pieces (start, line) of the largest of integer lines on [0, 2], each
+    start an integer pair (num, den) with den > 0."""
+    hull = []  # the envelope on the whole real line, slopes increasing
+    for s, b in sorted(lines):
+        while hull and hull[-1][0] == s:  # the same slope, a lower intercept
+            hull.pop()
+        # the top line is hidden once the new line meets the one below it
+        # no later than the top line does
+        while len(hull) > 1 and ((hull[-2][1] - b) * (hull[-1][0] - hull[-2][0])
+                                 <= (hull[-2][1] - hull[-1][1]) * (s - hull[-2][0])):
+            hull.pop()
+        hull.append((s, b))
+    pieces = [((0, 1), hull[0])]
+    for (s0, b0), line in zip(hull, hull[1:]):
+        num, den = b0 - line[1], line[0] - s0  # where `line` takes over
+        if num >= 2 * den:
+            break
+        if num <= 0:  # `line` is already on top at 0
+            pieces = [((0, 1), line)]
+        else:
+            pieces.append(((num, den), line))
+    return pieces
+
+
+def _lower_envelope(f, g) -> list:
+    """Pieces of the smaller of two functions given by such pieces."""
+    out, i, j, a = [], 0, 0, (0, 1)
+    while True:
+        (s1, c1), (s2, c2) = f[i][1], g[j][1]
+        nf = f[i + 1][0] if i + 1 < len(f) else (2, 1)
+        ng = g[j + 1][0] if j + 1 < len(g) else (2, 1)
+        order = nf[0] * ng[1] - ng[0] * nf[1]  # the sign of nf - ng
+        b = nf if order <= 0 else ng
+        ds, dc = s1 - s2, c1 - c2
+        da, db = ds * a[0] + dc * a[1], ds * b[0] + dc * b[1]  # signs of f - g at a, b
+        low, high = ((f[i][1], g[j][1]) if da < 0 or (da == 0 and db <= 0)
+                     else (g[j][1], f[i][1]))
+        pieces = [(a, low)]
+        if da * db < 0:  # they cross inside (a, b)
+            pieces.append(((-dc, ds) if ds > 0 else (dc, -ds), high))
+        for t, line in pieces:
+            if not out or out[-1][1] != line:
+                out.append((t, line))
+        if i + 1 == len(f) and j + 1 == len(g):
+            return out
+        i, j, a = i + (order <= 0), j + (order >= 0), b
+
+
+def _sweep_upsilon(lines, base, boundaries) -> PLFunction:
+    """The elimination path of `tower_upsilon`, taken when a boundary column
+    has three or more positions (it holds on any tower): a sweep over t.
+
+    At a stop t, order the coordinates so that the lowest value takes the
+    highest bit, ties broken by slope (the order just after t), and reduce
+    the base cycle against the boundary basis, pivoting on the highest bit.
+    The residual r = base + (boundaries) has leading bit `lead` with line
+    L, and two witnesses show Upsilon = L just after t:
 
     - primal: r is in the class and every line of its support is >= L, so
       Upsilon >= L;
@@ -62,17 +192,8 @@ def tower_upsilon(C: BifilteredComplex, grading: int) -> PLFunction:
     Both hold until a line of supp r or supp phi crosses L, so the next stop
     is the first such crossing after t: the sweep stops once per piece.  A
     line of supp r with a larger slope than L, or of supp phi with a smaller
-    one, meets L at or before t, so no direction filter is needed.  The
-    boundaries arrive as position tuples and the base mask is read once, so
-    the set-up is linear in the arrows.
+    one, meets L at or before t, so no direction filter is needed.
     """
-    indices, reps, boundaries = C.homology[grading % 2]
-    if len(reps) != 1:
-        raise ValueError(
-            f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
-    base = [c for c, b in enumerate(reversed(bin(reps[0]))) if b == "1"]
-    lines = [(C.f1[i] - C.f2[i], 2 * ((C.gradings[i] - grading) // 2 - C.f1[i]))
-             for i in indices]
     n = len(lines)
     pieces = []
     p, q = 0, 1  # the sweep position t = p / q
@@ -116,16 +237,17 @@ def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = Non
                     strip: bool = False) -> BifilteredComplex:
     """Fold once, cone off (involution + identity), and optionally reduce.
     The one gate on involutions: ValueError unless the given or derived one
-    is a skew-filtered chain map of C_knot.  Folding keeps indices, so the
+    is a skew-filtered chain map of C_knot (checked once per map, through
+    `ChainMap.skew_violations`).  Folding keeps indices, so the
     involution's `images` serve unchanged."""
     if involution is None:
         involution = staircase_involution(C_knot)
     elif involution.source != C_knot or involution.target != C_knot:
         raise ValueError("involution must be a self map of the knot complex")
     F = fold(C_knot)
-    problems = chain_map_violations(involution, skew=True)
-    if problems:
-        raise ValueError("involution is not a skew-filtered chain map: " + "; ".join(problems))
+    if involution.skew_violations:
+        raise ValueError("involution is not a skew-filtered chain map: "
+                         + "; ".join(involution.skew_violations))
     cone = mapping_cone(F, ChainMap.indexed(F, F, involution.images))
     if reduce_cone:
         cone = reduce_bifiltered(cone).reduced

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .complexes import (BifilteredComplex, FiltrationMode, Generator,
                         direct_sum, homology_rank, validate)
-from .involutive import ChainMap, staircase_involution
+from .involutive import ChainMap, fold, staircase_involution
 from .plfunction import PLFunction
 from .reduction import (closed_form_cone_reduction, essential_signature,
                         generator_signature, is_reduced,
@@ -25,9 +25,9 @@ from .reduction import (closed_form_cone_reduction, essential_signature,
 from .staircase import (Sign, StaircaseSpec, classify, mirror, Pointing,
                         staircase_from_steps, steps_from_torus_knot,
                         unknot_complex)
-from .upsilon import (UpsilonVariant, filtration_width, involutive_cone,
-                      slope_bound_check, upsilon, upsilon_pair_from_cone,
-                      v0_invariants)
+from .upsilon import (UpsilonVariant, _forest_upsilon, _sweep_upsilon, _tower,
+                      filtration_width, involutive_cone, slope_bound_check,
+                      upsilon, upsilon_pair_from_cone, v0_invariants)
 
 
 @dataclass(frozen=True)
@@ -326,6 +326,25 @@ def check_d_squared_random(s: VerifySettings) -> str:
     return f"{trials} random chains in the cone have vanishing d-squared"
 
 
+def check_tower_paths(s: VerifySettings) -> str:
+    """`tower_upsilon`'s forest path vs its elimination sweep on the classic,
+    folded and reduced-cone towers of `staircase_corpus`, which are all
+    forest towers."""
+    specs = staircase_corpus(s)
+    for spec in specs:
+        C = staircase_from_steps(spec)
+        cone = involutive_cone(C)
+        for name, X, grading in (("classic", C, 0), ("folded", fold(C), 0),
+                                 ("upper", cone, 0), ("lower", cone, 1)):
+            lines, base, boundaries = _tower(X, grading)
+            if any(len(col) > 2 for col in boundaries):
+                raise CheckFailure(f"{spec}: {name} tower has a boundary column "
+                                   f"of more than two positions")
+            if _forest_upsilon(lines, base, boundaries) != _sweep_upsilon(lines, base, boundaries):
+                raise CheckFailure(f"{spec}: {name} forest path and sweep disagree")
+    return f"forest path and sweep agree on {4 * len(specs)} towers of {len(specs)} staircases"
+
+
 CHECKS = (
     ("T(3,7)-goldens", check_t37_goldens),
     ("engine-agreement", check_engine_agreement),
@@ -338,6 +357,7 @@ CHECKS = (
     ("three-genus-slope-bound", check_slope_bound),
     ("classic-symmetry", check_classic_symmetry),
     ("d-squared-random-chains", check_d_squared_random),
+    ("tower-paths-agree", check_tower_paths),
 )
 
 

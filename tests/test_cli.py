@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from involutive_upsilon import BifilteredComplex, cli, dumps_complex, loads_complex
+from involutive_upsilon import (BifilteredComplex, cli, dumps_complex, involutive,
+                                loads_complex)
 from involutive_upsilon.cli import (EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                                     KnotSpecError, main, parse_knot_spec)
 from involutive_upsilon.staircase import Sign
@@ -316,6 +318,42 @@ def test_file_identity_involution_is_invalid(capsys, tmp_path, t23, argv):
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and "involution invalid" in err
     assert "v0->v0: bidegree (0, 1) exceeds (1, 0), not skew-filtered" in err
+
+
+def count_skew_checks(monkeypatch):
+    """A list that grows by one per `chain_map_violations` run, wherever the
+    package binds the function."""
+    calls, real = [], involutive.chain_map_violations
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name in ("cli", "involutive", "upsilon"):
+        module = importlib.import_module(f"involutive_upsilon.{name}")
+        if hasattr(module, "chain_map_violations"):
+            monkeypatch.setattr(module, "chain_map_violations", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--knot", "FILE"],
+    ["compute", "--knot", "FILE", "--invariant", "classic"],
+    ["compute", "--knot", "FILE", "--strip-acyclic"],
+    *(["dump-complex", "--knot", "FILE", "--stage", stage]
+      for stage in ("base", "folded", "cone", "reduced")),
+    ["compute", "--knot", "torus:3,7"],
+    ["compute", "--knot", "torus:3,7", "--engine", "both"],
+], ids=" ".join)
+def test_one_skew_check_per_knot(capsys, monkeypatch, tmp_path, argv):
+    """A file's involution is checked when it is read and not again by the
+    cone's gate; a staircase's derived one is checked by the gate alone."""
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(UNSORTED_COMPLEX))
+    calls = count_skew_checks(monkeypatch)
+    code, _, err = run_cli(capsys, *(f"file:{path}" if a == "FILE" else a for a in argv))
+    assert code == EXIT_OK, err
+    assert len(calls) == 1
 
 
 def test_dump_complex_error_exit_codes(capsys, tmp_path):

@@ -37,6 +37,16 @@ def test_fold_twice_rejected(t25):
         fold(fold(t25))
 
 
+def test_fold_carries_computed_homology_over():
+    C = staircase_from_steps(StaircaseSpec((1, 2, 2, 1)))
+    assert "homology" not in fold(C).__dict__  # folding never computes it
+    homology = C.homology
+    F = fold(C)
+    assert F.__dict__["homology"] is homology
+    unshared = BifilteredComplex.indexed(F.ids, F.gradings, F.f1, F.f2, F.targets, F.mode)
+    assert F.homology == unshared.homology
+
+
 def test_reflection_t37(t37):
     M = staircase_involution(t37)
     v = t37.index

@@ -10,9 +10,10 @@ from involutive_upsilon import (BifilteredComplex, FiltrationMode,
                                 involutive_cone, mirror, slope_bound_check,
                                 staircase_from_steps, tower_upsilon,
                                 unknot_complex, upsilon, upsilon_pair_from_cone,
-                                v0_invariants)
+                                v0_invariants, validate)
 from involutive_upsilon.complexes import homology_data
-from involutive_upsilon.upsilon import filtration_width
+from involutive_upsilon.upsilon import (_forest_upsilon, _sweep_upsilon, _tower,
+                                        filtration_width)
 from involutive_upsilon.verify import symmetric_specs
 
 from oracles import (brute_nu_value, oss_classic_value, padded_nu_value,
@@ -184,6 +185,20 @@ def count_stops(monkeypatch):
     return stops
 
 
+def variant_tower(C, which):
+    """The (complex, grading) whose tower `upsilon(C, which)` reads."""
+    if which is UpsilonVariant.CLASSIC:
+        return C, 0
+    if which is UpsilonVariant.FOLDED:
+        return fold(C), 0
+    return involutive_cone(C), 0 if which is UpsilonVariant.UPPER else 1
+
+
+def sweep(X, grading):
+    """The elimination sweep of a tower, whichever path `tower_upsilon` takes."""
+    return _sweep_upsilon(*_tower(X, grading))
+
+
 @pytest.mark.parametrize("k", [250, 500])
 def test_sweep_stops_once_per_piece_on_mirrors(k, monkeypatch):
     stops = count_stops(monkeypatch)
@@ -191,6 +206,8 @@ def test_sweep_stops_once_per_piece_on_mirrors(k, monkeypatch):
     for w in UpsilonVariant:
         stops.clear()
         f = upsilon(C, w)
+        assert not stops, w  # a forest tower: nothing is eliminated
+        assert sweep(*variant_tower(C, w)) == f, w
         assert len(stops) == len(f.pieces()), w
 
 
@@ -203,20 +220,111 @@ def test_sweep_stops_once_per_piece_on_corpus(monkeypatch):
             C = staircase_from_steps(StaircaseSpec(steps, sign))
             for w in UpsilonVariant:
                 stops.clear()
-                pieces[w] += len(upsilon(C, w).pieces())
+                f = upsilon(C, w)
+                assert not stops, (steps, sign, w)
+                assert sweep(*variant_tower(C, w)) == f, (steps, sign, w)
+                pieces[w] += len(f.pieces())
                 stopped[w] += len(stops)
     assert stopped == pieces
 
 
-@pytest.mark.parametrize("p", range(2, 13))
+@pytest.mark.parametrize("p", [*range(2, 13), 200, 800, 1600])
 def test_classic_torus_p_p1_closed_form(p):
-    steps = semigroup_torus_steps(p, p + 1)
+    steps = tuple(a for i in range(1, p) for a in (i, p - i))  # 1, p-1, 2, p-2, ..., p-1, 1
     classic = upsilon(staircase_from_steps(StaircaseSpec(steps)), UpsilonVariant.CLASSIC)
-    # both oracles are convex: agreeing at the breakpoints and piece midpoints
+    assert len(classic.pieces()) == p
+    # the oracles are convex: agreeing at the breakpoints and piece midpoints
     # of the engine's function means agreeing everywhere
     ts = {*breakpoints_and_midpoints(classic), *(Fraction(2 * i, p) for i in range(p + 1))}
     for t in sorted(ts):
-        assert classic(t) == torus_p_p1_value(p, t) == oss_classic_value(steps, t), t
+        assert classic(t) == torus_p_p1_value(p, t), t
+    if p < 13:  # the corner oracle and the semigroup steps are quadratic in p
+        assert steps == semigroup_torus_steps(p, p + 1)
+        for t in sorted(ts):
+            assert classic(t) == oss_classic_value(steps, t), t
+
+
+def odd_components(lines, base, boundaries):
+    """How many components of the 2-entry columns' graph hold an odd number of
+    the base's positions (relabelling, quadratic: for small towers)."""
+    label = list(range(len(lines)))
+    for i, j in (col for col in boundaries if len(col) == 2):
+        old = label[j]
+        label = [label[i] if x == old else x for x in label]
+    parity = {}
+    for k in base:
+        parity[label[k]] = not parity.get(label[k], False)
+    return sum(parity.values())
+
+
+def test_forest_lower_envelope_of_many_components():
+    # a negative staircase's base cycle is odd on up to nine components, so
+    # its classic Upsilon is a lower envelope of up to nine upper envelopes
+    most = 0
+    for i, steps in enumerate(symmetric_specs(8)):
+        C = staircase_from_steps(StaircaseSpec(steps, Sign.NEGATIVE))
+        tower = _tower(C, 0)
+        assert all(len(col) <= 2 for col in tower[2]), steps
+        most = max(most, odd_components(*tower))
+        f = tower_upsilon(C, 0)
+        assert f == _sweep_upsilon(*tower), steps
+        if i % 17 == 0 or len(steps) == 16:
+            for t in breakpoints_and_midpoints(f):
+                assert f(t) == -2 * brute_nu_value(C, 0, t), (steps, t)
+    assert most == 9
+
+
+def test_forest_freed_component():
+    # an acyclic box x -> y far below T(2,3): d x = y is a 1-entry boundary
+    # column, so y's component is freed and its low line never counts
+    box = BifilteredComplex((Generator("x", 1, 5, 5), Generator("y", 0, 5, 5)),
+                            frozenset({("x", "y")}))
+    T23 = staircase_from_steps(StaircaseSpec((1, 1)))
+    S = direct_sum(T23, box)
+    lines, base, boundaries = _tower(S, 0)
+    indices = S.homology[0][0]  # the generator at each position
+    assert [col for col in boundaries if len(col) == 1] == [(indices.index(S.index["y"]),)]
+    f = tower_upsilon(S, 0)
+    assert f == upsilon(T23, UpsilonVariant.CLASSIC) == sweep(S, 0)
+    for t in breakpoints_and_midpoints(f):
+        assert f(t) == -2 * brute_nu_value(S, 0, t)
+    # every cycle of the class gives the same function on both paths, also
+    # one that is odd on the freed component
+    for col in boundaries:
+        other = sorted(set(base) ^ set(col))
+        assert _forest_upsilon(lines, other, boundaries) == f
+        assert _sweep_upsilon(lines, other, boundaries) == f
+
+
+def test_forest_parallel_and_tied_lines():
+    """Two components, A and B, of vertices in grading 0 that all hit w,
+    each joined into a tree by edge generators: homology in grading 0 is the
+    class of a0 + b0, odd on both.  The lines (slope, intercept) =
+    (f1 - f2, -2 f1) include a repeated line, parallel lines, three lines
+    through one point (t = 1 in A), two that tie at t = 0 (in B) and one
+    line in both A and B; B's envelope crosses A's at t = 2/3 and meets it
+    again at t = 2."""
+    A = {"a0": (2, 2), "a1": (2, 2), "a2": (1, 3), "a3": (0, 4), "a4": (3, 3)}
+    B = {"b0": (1, 2), "b1": (1, 4), "b2": (2, 2)}
+    vertices = {**A, **B}
+    gens = [Generator("w", -1, -1, -1)]
+    gens += [Generator(v, 0, *bideg) for v, bideg in vertices.items()]
+    arrows = {(v, "w") for v in vertices}
+    for x, y in (("a0", "a1"), ("a1", "a2"), ("a3", "a2"), ("a4", "a0"),
+                 ("b0", "b1"), ("b2", "b1")):
+        e = f"e{x}{y}"
+        gens.append(Generator(e, 1, *map(max, vertices[x], vertices[y])))
+        arrows |= {(e, x), (e, y)}
+    C = BifilteredComplex(tuple(gens), frozenset(arrows))
+    assert validate(C).ok
+    tower = _tower(C, 0)
+    assert odd_components(*tower) == 2
+    f = tower_upsilon(C, 0)
+    assert f == PLFunction.from_breakpoints(
+        ((0, -2), (Fraction(2, 3), Fraction(-8, 3)), (1, -4), (2, -4)))
+    assert f == _sweep_upsilon(*tower)
+    for t in breakpoints_and_midpoints(f):
+        assert f(t) == -2 * brute_nu_value(C, 0, t)
 
 
 def test_upsilon_classic_t23(t23):
