@@ -2,13 +2,16 @@
 mapping cone.
 
 The involution swaps the two filtrations, so it only preserves bidegrees
-after folding: the cone is therefore always built on a MIN_MAX complex.
-Its generators are an A copy (gradings shifted up by 1, index i) and a B
-copy (index n + i) of the input; the differential is the original one on
-each copy plus the block (involution + identity) from A to B.  Whether
-an involution is a skew-filtered chain map is checked only by the one
-gate, `upsilon.involutive_cone`, and by the CLI when it reads a file, both
-through `ChainMap.skew_violations`, so each map is checked once.
+after folding: the cone is therefore taken of a MIN_MAX complex.  Its
+generators are an A copy (gradings shifted up by 1, index i) and a B copy
+(index n + i) of the input; the differential is the original one on each
+copy plus the block (involution + identity) from A to B.  `mapping_cone`
+builds all of it.  `reduction.reduced_cone` builds the reduced cone
+without it, except for an involution that is not a matching or a complex
+with an arrow within one bidegree, where it reduces the whole cone.
+Whether an involution is a skew-filtered chain map is checked only by the
+one gate, `upsilon.involutive_cone`, and by the CLI when it reads a file,
+both through `ChainMap.skew_violations`, so each map is checked once.
 Everything here reads a complex's columns, its `targets` and a chain map's
 `images`, the one form a `ChainMap` stores; ids are checked only by its
 public constructor and read only by its `arrows` view and by messages.
@@ -152,9 +155,15 @@ def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
     if I_map.source != C or I_map.target != C:
         raise ValueError("involution must be a self map of the folded complex")
     n = C.n
-    ids = tuple(f"A.{s}" for s in C.ids) + tuple(f"B.{s}" for s in C.ids)
     targets = tuple(ts + tuple(n + y for y in sorted({*ys} ^ {i}))
                     for i, (ts, ys) in enumerate(zip(C.targets, I_map.images)))
     targets += tuple(tuple(n + t for t in ts) for ts in C.targets)
-    return BifilteredComplex.indexed(ids, tuple(g + 1 for g in C.gradings) + C.gradings,
-                                     C.f1 + C.f1, C.f2 + C.f2, targets, FiltrationMode.MIN_MAX)
+    return BifilteredComplex.indexed(*cone_columns(C.ids, C.gradings, C.f1, C.f2), targets,
+                                     FiltrationMode.MIN_MAX)
+
+
+def cone_columns(ids: tuple, gradings: tuple, f1: tuple, f2: tuple) -> tuple:
+    """The cone's ids, gradings, f1 and f2 over these generators' columns:
+    the A copy, then the B copy."""
+    return (tuple(f"A.{s}" for s in ids) + tuple(f"B.{s}" for s in ids),
+            tuple(g + 1 for g in gradings) + gradings, f1 + f1, f2 + f2)

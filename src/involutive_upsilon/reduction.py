@@ -1,4 +1,5 @@
-"""Bifiltered Gaussian elimination and the closed-form cone reduction.
+"""Bifiltered Gaussian elimination, the reduced involutive cone, and the
+closed-form cone reduction.
 
 `reduce_bifiltered` repeatedly cancels differential entries between
 generators of identical bidegree; the result is reduced (every surviving
@@ -8,6 +9,12 @@ indices and the bidegree columns: cancellable entries wait in a heap,
 heapified from the input's and fed by each elimination, and the step log
 holds indices.  Ids are read only by `eliminated_pairs`; `kept_of`, the
 forward change-of-basis chain map, is replayed from the log on request.
+
+`reduced_cone` is what `reduce_bifiltered` makes of an involutive mapping
+cone.  When the involution is a matching and the folded complex's arrows
+drop the bidegree strictly, it builds that result directly, as a Schur
+complement over the generators that survive, without the whole cone or
+the heap; any other input goes through both.
 
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
@@ -22,7 +29,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .complexes import BifilteredComplex, FiltrationMode
-from .involutive import ChainMap
+from .involutive import ChainMap, cone_columns, mapping_cone
 from .staircase import Sign, StaircaseSpec, classify, staircase_complex, staircase_points
 
 
@@ -112,6 +119,79 @@ def reduce_bifiltered(C: BifilteredComplex, rng=None) -> ReductionResult:
     new = {i: k for k, i in enumerate(keep)}
     targets = tuple(tuple(sorted(new[t] for t in cols[i])) for i in keep)
     return ReductionResult(C, _picked(C, keep, targets), tuple(steps))
+
+
+def reduced_cone(F: BifilteredComplex, I: ChainMap) -> BifilteredComplex:
+    """`reduce_bifiltered(mapping_cone(F, I)).reduced`, built over the
+    survivors alone when the involution I of the folded complex F is a
+    matching.
+
+    I is a matching when every image is one generator j with I(j) = i, as
+    for every staircase, mirror and staircase-plus-boxes file.  The direct
+    path also needs partners to share grading and bidegree, and every arrow
+    of F to drop the bidegree strictly (weakly in both levels, and not to
+    an equal bidegree); all three are checked here, in O(n + arrows).  Any
+    other input, such as an involution with I(a) = a + x or a file with an
+    arrow between equal bidegrees, goes through the whole cone.
+
+    Why the two agree.  Number the cone as `mapping_cone` does, A_i = i and
+    B_i = n + i, write dz for F's boundary of z read in either copy, and let
+    X = {A_i : i < I(i)}, Y = {B_i : i < I(i)} and R the rest.
+
+    1. The cone's equal-bidegree entries are exactly A_i -> B_i and
+       A_i -> B_I(i) with I(i) != i, since the arrows within a copy are F's.
+    2. The four such entries of a pair i < j = I(i) share one heap key, and
+       ties go by source, then target, so `reduce_bifiltered` pops
+       A_i -> B_i first.
+    3. Cancelling it adds d(A_i) = di + B_i + B_j to the other sources of
+       B_i: to A_j, which loses B_j, and to each B_z with i in dz.  Every
+       entry added drops the bidegree strictly, so nothing is pushed; the
+       pair's other entries are then stale, and no other pair's entries
+       change.  So the pivots are X x Y, with A_i paired to B_i.
+    4. Eliminating a fixed pivot set leaves the Schur complement
+       d_RR + d_RX d_YX^-1 d_YR on R, in any order, and d_YX is the
+       identity.  Over F2, with "- X" dropping X's generators:
+
+           d'(A_j) = dj - X                  when I(j) = j,
+           d'(A_j) = (dj + dI(j)) - X        when j > I(j),
+           d'(B_z) = (dz - Y) + the sum over i in dz with i < I(i)
+                     of (di - X) + B_I(i).
+
+    R keeps the cone's order, ids, gradings and bidegrees, so the result
+    is the generic one, byte for byte when dumped.
+    """
+    f1, f2, T, n = F.f1, F.f2, F.targets, F.n
+    partner = [ys[0] for ys in I.images if len(ys) == 1]
+    key = list(zip(F.gradings, f1, f2))
+    matched = (len(partner) == n and [partner[j] for j in partner] == list(range(n))
+               and [key[j] for j in partner] == key)
+    # weakly lower in both levels, so a smaller sum means a different bidegree
+    if not matched or not all(f1[y] <= f1[x] and f2[y] <= f2[x] and f1[y] + f2[y] < f1[x] + f2[x]
+                              for x, ts in enumerate(T) for y in ts):
+        return reduce_bifiltered(mapping_cone(F, I)).reduced
+    kept = [i for i, j in enumerate(partner) if j <= i]
+    m, pos = len(kept), [None] * n
+    for k, i in enumerate(kept):
+        pos[i] = k
+    # what A_k and B_k become in R: themselves if kept, else 0 and the rest
+    # of d(A_k), the two columns of step 4
+    a_col = [() if p is None else (p,) for p in pos]
+    b_col = [(m + p,) if p is not None else
+             (*[c for k in T[i] for c in a_col[k]], m + pos[partner[i]])
+             for i, p in enumerate(pos)]
+    targets = [_sum(a_col, T[j] if partner[j] == j else T[j] + T[partner[j]]) for j in kept]
+    targets += [_sum(b_col, T[z]) for z in kept]
+    return BifilteredComplex.indexed(
+        *cone_columns(*(tuple(c[i] for i in kept) for c in (F.ids, F.gradings, f1, f2))),
+        tuple(targets), FiltrationMode.MIN_MAX)
+
+
+def _sum(cols: list, ks) -> tuple:
+    """The F2 sum of the columns at the indices ks, as a sorted tuple."""
+    acc: set = set()
+    for k in ks:
+        acc.symmetric_difference_update(cols[k])
+    return tuple(sorted(acc))
 
 
 def _picked(C: BifilteredComplex, keep: list, targets: tuple) -> BifilteredComplex:

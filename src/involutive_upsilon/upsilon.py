@@ -30,7 +30,7 @@ from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode
 from .involutive import ChainMap, fold, mapping_cone, staircase_involution
 from .plfunction import PLFunction
-from .reduction import reduce_bifiltered, strip_acyclic
+from .reduction import reduced_cone, strip_acyclic
 
 
 class UpsilonVariant(Enum):
@@ -236,7 +236,9 @@ def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = Non
                     *, reduce_cone: bool = True,
                     strip: bool = False) -> BifilteredComplex:
     """Fold once, cone off (involution + identity), and optionally reduce.
-    The one gate on involutions: ValueError unless the given or derived one
+    The reduced cone comes from `reduction.reduced_cone`, which builds the
+    whole cone only when the involution is not a matching or the complex
+    has an arrow within one bidegree.  The one gate on involutions: ValueError unless the given or derived one
     is a skew-filtered chain map of C_knot (checked once per map, through
     `ChainMap.skew_violations`).  Folding keeps indices, so the
     involution's `images` serve unchanged."""
@@ -248,9 +250,8 @@ def involutive_cone(C_knot: BifilteredComplex, involution: ChainMap | None = Non
     if involution.skew_violations:
         raise ValueError("involution is not a skew-filtered chain map: "
                          + "; ".join(involution.skew_violations))
-    cone = mapping_cone(F, ChainMap.indexed(F, F, involution.images))
-    if reduce_cone:
-        cone = reduce_bifiltered(cone).reduced
+    I = ChainMap.indexed(F, F, involution.images)
+    cone = reduced_cone(F, I) if reduce_cone else mapping_cone(F, I)
     if strip:
         cone = strip_acyclic(cone)
     return cone

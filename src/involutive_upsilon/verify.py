@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (BifilteredComplex, FiltrationMode, Generator,
-                        direct_sum, homology_rank, validate)
+                        direct_sum, dumps_complex, homology_rank, validate)
 from .involutive import ChainMap, fold, staircase_involution
 from .plfunction import PLFunction
 from .reduction import (closed_form_cone_reduction, essential_signature,
@@ -190,16 +190,26 @@ def _random_box(rng: random.Random):
     return gr, a, a if rng.random() < 0.5 else b  # a diagonal box is fixed by the reflection
 
 
-def _acyclic_summand(gr: int, a: int, b: int):
-    """An acyclic box x -> y at (a, b), gradings (gr, gr - 1), that admits a
-    skew involution: fixed when a == b, else swapped with its copy at (b, a)."""
-    gens = [Generator("x", gr, a, b), Generator("y", gr - 1, a, b)]
-    arrows = {("x", "y")}
-    inv = {("x", "x"), ("y", "y")}
-    if a != b:
-        gens += [Generator("xs", gr, b, a), Generator("ys", gr - 1, b, a)]
-        arrows.add(("xs", "ys"))
-        inv = {("x", "xs"), ("xs", "x"), ("y", "ys"), ("ys", "y")}
+def _acyclic_summand(gr: int, a: int, b: int, square: bool = False):
+    """An acyclic summand at (a, b) that admits a skew involution: the box
+    x -> y at (a, b), gradings (gr, gr - 1), or with `square` the square
+    x -> p, q -> y with x at (a + 1, b + 1), p at (a, b + 1) and q at
+    (a + 1, b), gradings (gr + 1, gr, gr, gr - 1).  When a == b the
+    involution reflects it, fixing x and y and swapping p and q; otherwise
+    it swaps each generator with its copy, suffixed "s", at the swapped
+    bidegree."""
+    if square:
+        shape = [("x", 1, 1, 1), ("p", 0, 0, 1), ("q", 0, 1, 0), ("y", -1, 0, 0)]
+        arrows = {("x", "p"), ("x", "q"), ("p", "y"), ("q", "y")}
+    else:
+        shape, arrows = [("x", 0, 0, 0), ("y", -1, 0, 0)], {("x", "y")}
+    gens = [Generator(i, gr + g, a + da, b + db) for i, g, da, db in shape]
+    if a == b:
+        inv = {(i, {"p": "q", "q": "p"}.get(i, i)) for i, *_ in shape}
+    else:
+        gens += [Generator(f"{i}s", gr + g, b + db, a + da) for i, g, da, db in shape]
+        arrows |= {(f"{x}s", f"{y}s") for x, y in arrows}
+        inv = {pair for i, *_ in shape for pair in ((i, f"{i}s"), (f"{i}s", i))}
     Z = BifilteredComplex(tuple(gens), frozenset(arrows), FiltrationMode.ALG_ALEX)
     return Z, inv
 
@@ -345,6 +355,39 @@ def check_tower_paths(s: VerifySettings) -> str:
     return f"forest path and sweep agree on {4 * len(specs)} towers of {len(specs)} staircases"
 
 
+def check_reduced_cone_paths(s: VerifySettings) -> str:
+    """`involutive_cone`'s reduced cone vs `reduce_bifiltered` of the whole
+    cone, on `staircase_corpus` and on each of its staircases plus seeded
+    acyclic summands: squares, which keep the involution a matching with
+    strictly dropping arrows, and boxes x -> y within one bidegree, which
+    do not."""
+    rng = random.Random(s.seed)
+    cases = []
+    for spec in staircase_corpus(s):
+        C = staircase_from_steps(spec)
+        inv = staircase_involution(C).arrows
+        cases.append((str(spec), C, ChainMap(C, C, inv)))
+        boxes = rng.randint(1, 3)
+        for k in range(boxes):
+            gr, a, b = _random_box(rng)
+            Z, z_inv = _acyclic_summand(gr, a, b, square=rng.random() < 0.75)
+            tag = f"z{k}."  # the summands' ids never collide with each other or the knot's
+            Z = BifilteredComplex.indexed(tuple(tag + i for i in Z.ids), Z.gradings, Z.f1,
+                                          Z.f2, Z.targets, Z.mode)
+            C = direct_sum(C, Z)
+            inv |= {(tag + x, tag + y) for x, y in z_inv}
+        cases.append((f"{spec} plus {boxes} summands", C, ChainMap(C, C, inv)))
+    for label, C, inv in cases:
+        cone = involutive_cone(C, inv)
+        if not is_reduced(cone):
+            raise CheckFailure(f"{label}: the reduced cone is not reduced")
+        whole = reduce_bifiltered(involutive_cone(C, inv, reduce_cone=False)).reduced
+        if dumps_complex(cone) != dumps_complex(whole):
+            raise CheckFailure(f"{label}: the reduced cone differs from the reduction "
+                               f"of the whole cone")
+    return f"{len(cases)} reduced cones equal the reduction of the whole cone"
+
+
 CHECKS = (
     ("T(3,7)-goldens", check_t37_goldens),
     ("engine-agreement", check_engine_agreement),
@@ -358,6 +401,7 @@ CHECKS = (
     ("classic-symmetry", check_classic_symmetry),
     ("d-squared-random-chains", check_d_squared_random),
     ("tower-paths-agree", check_tower_paths),
+    ("reduced-cone-paths-agree", check_reduced_cone_paths),
 )
 
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from involutive_upsilon import (BifilteredComplex, cli, dumps_complex, involutive,
-                                loads_complex)
+                                involutive_cone, loads_complex, reduce_bifiltered,
+                                reduction)
 from involutive_upsilon.cli import (EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
-                                    KnotSpecError, main, parse_knot_spec)
+                                    KnotSpecError, build_knot, main, parse_knot_spec)
 from involutive_upsilon.staircase import Sign
 
 
@@ -320,19 +321,19 @@ def test_file_identity_involution_is_invalid(capsys, tmp_path, t23, argv):
     assert "v0->v0: bidegree (0, 1) exceeds (1, 0), not skew-filtered" in err
 
 
-def count_skew_checks(monkeypatch):
-    """A list that grows by one per `chain_map_violations` run, wherever the
-    package binds the function."""
-    calls, real = [], involutive.chain_map_violations
+def count_calls(monkeypatch, home, name: str) -> list:
+    """A list that grows by one per call of the function `name` of module
+    `home`, wherever the package binds it."""
+    calls, real = [], getattr(home, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for name in ("cli", "involutive", "upsilon"):
-        module = importlib.import_module(f"involutive_upsilon.{name}")
-        if hasattr(module, "chain_map_violations"):
-            monkeypatch.setattr(module, "chain_map_violations", counted)
+    for module_name in ("cli", "involutive", "reduction", "upsilon"):
+        module = importlib.import_module(f"involutive_upsilon.{module_name}")
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -350,10 +351,90 @@ def test_one_skew_check_per_knot(capsys, monkeypatch, tmp_path, argv):
     cone's gate; a staircase's derived one is checked by the gate alone."""
     path = tmp_path / "unsorted.json"
     path.write_text(json.dumps(UNSORTED_COMPLEX))
-    calls = count_skew_checks(monkeypatch)
+    calls = count_calls(monkeypatch, involutive, "chain_map_violations")
     code, _, err = run_cli(capsys, *(f"file:{path}" if a == "FILE" else a for a in argv))
     assert code == EXIT_OK, err
     assert len(calls) == 1
+
+
+def complex_doc(generators, differential, involution):
+    return {"mode": "ALG_ALEX",
+            "generators": [{"id": i, "gr": g, "f1": a, "f2": b} for i, g, a, b in generators],
+            "differential": [{"from": x, "to": y} for x, y in differential],
+            "involution": [{"from": x, "to": y} for x, y in involution]}
+
+
+# A figure-eight-shaped box a -> b, c -> d plus a point x, with the
+# involution a -> a + x: a skew-filtered chain map with square 1, but not
+# a matching.
+FIGURE_EIGHT_SHAPED = complex_doc(
+    [("x", 0, 0, 0), ("a", 0, 0, 0), ("b", -1, 0, -1), ("c", -1, -1, 0), ("d", -2, -1, -1)],
+    [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+    [("x", "x"), ("a", "a"), ("a", "x"), ("b", "c"), ("c", "b"), ("d", "d")])
+# T(2,3) plus an arrow x -> y between two diagonal generators of one bidegree.
+T23_PLUS_ARROW = complex_doc(
+    [("v0", 0, 0, 1), ("v1", 1, 1, 1), ("v2", 0, 1, 0), ("x", 1, 0, 0), ("y", 0, 0, 0)],
+    [("v1", "v0"), ("v1", "v2"), ("x", "y")],
+    [("v0", "v2"), ("v2", "v0"), ("v1", "v1"), ("x", "x"), ("y", "y")])
+# T(2,3) plus a square box on the diagonal, its involution swapping p and q.
+T23_PLUS_SQUARE = complex_doc(
+    [("v0", 0, 0, 1), ("v1", 1, 1, 1), ("v2", 0, 1, 0),
+     ("x", 2, 2, 2), ("p", 1, 1, 2), ("q", 1, 2, 1), ("y", 0, 1, 1)],
+    [("v1", "v0"), ("v1", "v2"), ("x", "p"), ("x", "q"), ("p", "y"), ("q", "y")],
+    [("v0", "v2"), ("v2", "v0"), ("v1", "v1"), ("x", "x"), ("p", "q"), ("q", "p"),
+     ("y", "y")])
+MIRROR_500 = "steps:-:" + ",".join(map(str, [1, 2] * 250 + [2, 1] * 250))
+
+
+@pytest.mark.parametrize("knot, calls", [
+    ("torus:3,7", 0), (MIRROR_500, 0), (T23_PLUS_SQUARE, 0),
+    (FIGURE_EIGHT_SHAPED, 1), (T23_PLUS_ARROW, 1),
+], ids=["torus:3,7", "-[1,2]*250+[2,1]*250", "T(2,3)+square", "figure-eight-shaped",
+        "T(2,3)+arrow"])
+def test_reduced_cone_path(capsys, monkeypatch, tmp_path, knot, calls):
+    """A matching with strictly dropping arrows reduces without the heap;
+    an involution with a + x, or an arrow within one bidegree, does not."""
+    if isinstance(knot, dict):
+        path = tmp_path / "knot.json"
+        path.write_text(json.dumps(knot))
+        knot = f"file:{path}"
+    counted = count_calls(monkeypatch, reduction, "reduce_bifiltered")
+    code, _, err = run_cli(capsys, "dump-complex", "--knot", knot, "--stage", "reduced")
+    assert code == EXIT_OK, err
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("doc, dump_sha, values", [
+    (FIGURE_EIGHT_SHAPED, "b568358dbe0ee4626ca58260b91586850dee4f59dc12fc9b8a3b72e500fa8e51",
+     "  Ῡ (upper): -t + 2 on [0,2]\n  Υ̲ (lower): 0 on [0,2]\n  V̅0 = 0, V̲0 = 0\n"),
+    (T23_PLUS_ARROW, "5236836b0cb2cf1dc888f3c425cf1587b9fbe68f813fef1cfb04767d15dff06c",
+     "  Ῡ (upper): -t on [0,2]\n  Υ̲ (lower): -2 on [0,2]\n  V̅0 = 1, V̲0 = 1\n"),
+], ids=["figure-eight-shaped", "T(2,3)+arrow"])
+def test_reduced_cone_fallback_goldens(capsys, tmp_path, doc, dump_sha, values):
+    """Golden reduced cone (sha256) and values of the two files whose cones
+    take the generic route."""
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "dump-complex", "--knot", f"file:{path}",
+                           "--stage", "reduced")
+    assert code == EXIT_OK and hashlib.sha256(out.encode()).hexdigest() == dump_sha
+    code, out, _ = run_cli(capsys, "compute", "--knot", f"file:{path}",
+                           "--invariant", "upper,lower,v0")
+    assert code == EXIT_OK and out == f"knot file:{path}\n" + values
+
+
+@pytest.mark.parametrize("knot", [
+    "torus:3,200", "torus:2,301", "torus:11,81",
+    *(f"steps:{sign}:" + ",".join(map(str, [1, 2] * 1000 + [2, 1] * 1000)) for sign in "+-"),
+], ids=["T(3,200)", "T(2,301)", "T(11,81)", "+[1,2]*1000+[2,1]*1000",
+        "-[1,2]*1000+[2,1]*1000"])
+def test_large_reduced_cone_matches_whole_cone_reduction(capsys, knot):
+    """Knots past the verify corpus: the printed reduced cone is the
+    reduction of the whole cone."""
+    C, involution = build_knot(parse_knot_spec(knot))
+    whole = reduce_bifiltered(involutive_cone(C, involution, reduce_cone=False)).reduced
+    code, out, _ = run_cli(capsys, "dump-complex", "--knot", knot, "--stage", "reduced")
+    assert code == EXIT_OK and out == dumps_complex(whole)
 
 
 def test_dump_complex_error_exit_codes(capsys, tmp_path):
