@@ -8,8 +8,9 @@ columns once for its homology.  `Eliminator` serves the Upsilon sweep of a
 tower with a boundary column of three or more positions, which reduces
 the same boundaries again under the bit order of each stop, once per piece
 of the answer, and back-substitutes over the stored pivots for its dual
-witness; a tower whose columns all have at most two positions needs no
-elimination.
+witness.  `components`, the one union-find, reduces columns of two
+positions by joining them, for towers with no wider column and for
+arrow-connected components.
 """
 
 from __future__ import annotations
@@ -72,3 +73,19 @@ def reduce_columns(columns) -> tuple[list[int], dict[int, int]]:
         else:
             kernel.append(combo)
     return kernel, pivots
+
+
+def components(n: int, pairs) -> list[int]:
+    """Each position's root once the two positions of every pair are joined.
+    This is the column reduction of columns with two positions: they span
+    exactly the even subsets of each component."""
+    parent = list(range(n))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return list(map(find, range(n)))

@@ -16,6 +16,10 @@ drop the bidegree strictly, it builds that result directly, as a Schur
 complement over the generators that survive, without the whole cone or
 the heap; any other input goes through both.
 
+`strip_acyclic` drops the acyclic arrow-connected components, found by
+one union-find (`gf2.components`) and read off the complex's one cached
+homology reduction.
+
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
 half-length staircase tail, in four cases by sign and the parity of the
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
+from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode
 from .involutive import ChainMap, cone_columns, mapping_cone
 from .staircase import Sign, StaircaseSpec, classify, staircase_complex, staircase_points
@@ -205,27 +210,6 @@ def is_reduced(C: BifilteredComplex) -> bool:
     return all(f1[x] != f1[y] or f2[x] != f2[y] for x, ts in enumerate(C.targets) for y in ts)
 
 
-def connected_components(C: BifilteredComplex) -> list[tuple]:
-    """Generator indices grouped by arrow connectivity, in generator order."""
-    parent = list(range(C.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x, ts in enumerate(C.targets):
-        for y in ts:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-    groups: dict[int, list] = {}  # first seen at its least member, so in order
-    for i in range(C.n):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(group) for group in groups.values()]
-
-
 def subcomplex(C: BifilteredComplex, indices) -> BifilteredComplex:
     """The generators at the given indices, in generator order, and the
     arrows between them."""
@@ -234,18 +218,21 @@ def subcomplex(C: BifilteredComplex, indices) -> BifilteredComplex:
     return _picked(C, keep, tuple(tuple(new[t] for t in C.targets[i] if t in new) for i in keep))
 
 
-def is_acyclic(C: BifilteredComplex) -> bool:
-    # U-localized homology is 2-periodic, so two consecutive gradings decide.
-    return not any(reps for _, reps, _ in C.homology)
-
-
 def strip_acyclic(C: BifilteredComplex) -> BifilteredComplex:
-    """Drop the arrow-connected components with vanishing homology."""
-    keep = []
-    for comp in connected_components(C):
-        if not is_acyclic(subcomplex(C, comp)):
-            keep.extend(comp)
-    return subcomplex(C, keep)
+    """Drop the arrow-connected components with vanishing homology: keep
+    those holding the leading generator of a representative of C's own
+    `homology`, in either parity.  That is the acyclic test, since:
+    1. a column and its positions lie in one component, and reducing it
+       XORs it only with the row led by its current leading position, so
+       every row and kernel vector, and so every representative, does too;
+    2. projecting onto a component is a chain map, so the representatives
+       within a component span its homology;
+    3. so a component is acyclic exactly when it holds no representative
+       of either parity, the homology being 2-periodic.
+    """
+    roots = gf2.components(C.n, ((x, y) for x, ts in enumerate(C.targets) for y in ts))
+    live = {roots[indices[z.bit_length() - 1]] for indices, reps, _ in C.homology for z in reps}
+    return subcomplex(C, [i for i, root in enumerate(roots) if root in live])
 
 
 def generator_signature(C: BifilteredComplex) -> tuple:

@@ -51,14 +51,15 @@ def tower_upsilon(C: BifilteredComplex, grading: int) -> PLFunction:
     When every boundary column has at most two positions (a forest tower:
     staircases, their mirrors and folds, reduced cones, stripped file
     knots), Upsilon is read off the columns with no elimination.  Join the
-    two positions of each 2-entry column; a component holding a 1-entry
-    column is freed.  A connected component's 2-entry columns span exactly
-    its even subsets, and a 1-entry column adds the rest, so the boundaries
-    are the chains whose parity is even on every component that is not
-    freed, and the class is every chain whose parity on each such component
-    matches the base cycle's.  Call the components where the base is odd,
-    and which are not freed, odd.  Then Upsilon(t) is the least, over the
-    odd components, of the largest line of the component:
+    two positions of each 2-entry column, and the one position of each
+    1-entry column to an extra ground position (`gf2.components`).  A
+    component's columns then span exactly its even subsets, and the ground
+    is no chain position, so the boundaries are the chains whose parity is
+    even on every component but the ground's, and the class is every chain
+    whose parity on each such component matches the base cycle's.  Call
+    the components where the base is odd, other than the ground's, odd.
+    Then Upsilon(t) is the least, over the odd components, of the largest
+    line of the component:
 
     - primal: the chain holding the top-line position of each odd component
       and nothing else is in the class, so Upsilon >= that least top line;
@@ -93,24 +94,12 @@ def _tower(C: BifilteredComplex, grading: int):
 
 def _forest_upsilon(lines, base, boundaries) -> PLFunction:
     """The forest path of `tower_upsilon`: every column has <= 2 positions."""
-    parent = list(range(len(lines)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]
-        return k
-
-    freed = []
-    for col in boundaries:
-        if len(col) == 2:
-            parent[find(col[0])] = find(col[1])
-        else:
-            freed.append(col[0])
-    roots = list(map(find, range(len(lines))))
+    n = len(lines)  # the ground: a 1-entry column joins its position to it
+    roots = gf2.components(n + 1, (col if len(col) == 2 else (col[0], n) for col in boundaries))
     odd = set()
     for k in base:
         odd ^= {roots[k]}
-    odd.difference_update(roots[k] for k in freed)
+    odd.discard(roots[n])
     members = {root: [] for root in odd}
     for root, line in zip(roots, lines):
         if root in odd:
@@ -262,7 +251,8 @@ def upsilon(C_knot: BifilteredComplex, which: UpsilonVariant,
     """One of the four Upsilon functions of an unfolded knot complex.
 
     UPPER and LOWER need an involution; it is derived automatically for
-    symmetric staircase complexes and must be supplied otherwise.
+    symmetric staircase complexes and must be supplied otherwise.  `strip`
+    drops the cone's acyclic components, so it affects UPPER and LOWER only.
     """
     if C_knot.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("upsilon expects the unfolded (ALG_ALEX) knot complex")

@@ -5,13 +5,15 @@ subset enumeration, nu by direct minimisation over the whole representative
 coset at fixed t, nu on a padded window by its own elimination at fixed t,
 torus-knot steps from the semigroup gap description of the Alexander
 polynomial, classic Upsilon of L-space knots from the corners of the
-staircase, the closed form of classic Upsilon for T(p, p+1), and the
-complex file text from the standard library's `json.dumps`.
+staircase, the closed form of classic Upsilon for T(p, p+1), the
+complex file text from the standard library's `json.dumps`, and
+connected components by breadth-first search.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +35,29 @@ def boundary_ids(C):
     out = {g.id: set() for g in C.generators}
     for x, y in C.arrows:
         out[x].add(y)
+    return out
+
+
+def bfs_components(n, pairs):
+    """The positions 0..n-1 joined by the pairs, as a set of frozensets,
+    found by breadth-first search."""
+    neighbours = [set() for _ in range(n)]
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, out = set(), set()
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = deque([start]), []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in neighbours[v] - seen:
+                seen.add(w)
+                queue.append(w)
+        out.add(frozenset(comp))
     return out
 
 

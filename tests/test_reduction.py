@@ -5,20 +5,21 @@ import pytest
 
 from involutive_upsilon import (BifilteredComplex, FiltrationMode,
                                 Generator, Sign, StaircaseSpec,
-                                closed_form_cone_reduction, dumps_complex,
+                                closed_form_cone_reduction, direct_sum, dumps_complex,
                                 essential_signature, fold, fold_map,
                                 homology_rank, involutive_cone, mapping_cone,
                                 materialize_closed_form, reduce_bifiltered,
                                 staircase_from_steps, staircase_involution,
                                 steps_from_torus_knot, validate)
+from involutive_upsilon import gf2
 from involutive_upsilon.involutive import chain_map_violations
-from involutive_upsilon.reduction import (connected_components,
-                                          generator_signature, is_reduced,
+from involutive_upsilon.staircase import mirror
+from involutive_upsilon.reduction import (generator_signature, is_reduced,
                                           strip_acyclic, subcomplex)
-from involutive_upsilon.verify import symmetric_specs
+from involutive_upsilon.verify import _acyclic_summand, symmetric_specs
 from involutive_upsilon.upsilon import upsilon_pair_from_cone
 
-from oracles import boundary_ids
+from oracles import bfs_components, boundary_ids
 
 
 def cone_of(steps, sign=Sign.POSITIVE):
@@ -52,7 +53,11 @@ def test_t37_cone_reduction_golden(t37):
     assert essential_signature(red) == (
         (0, 0, 6), (0, 1, 4), (0, 2, 2), (1, 1, 6), (1, 2, 2), (1, 2, 4))
     # the rest is a four-vertex acyclic staircase
-    acyclic = [c for c in connected_components(red)
+    roots = gf2.components(red.n, arrow_pairs(red))
+    groups = {}
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
+    acyclic = [c for c in groups.values()
                if homology_rank(subcomplex(red, c), 0) == 0
                and homology_rank(subcomplex(red, c), 1) == 0]
     assert sum(len(c) for c in acyclic) == 4
@@ -256,3 +261,63 @@ def test_strip_acyclic_keeps_essential(t37):
     # stripping never changes homology
     for g in range(-1, 3):
         assert homology_rank(stripped, g) == homology_rank(red, g)
+
+
+def arrow_pairs(C):
+    return [(x, y) for x, ts in enumerate(C.targets) for y in ts]
+
+
+def test_components_match_bfs():
+    rng = random.Random(20261020)
+    for trial in range(200):
+        n = 0 if trial == 0 else rng.randint(1, 40)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        pairs += rng.sample(pairs, min(len(pairs), 3))  # repeated pairs
+        pairs += [(k, k) for k in rng.sample(range(n), min(n, 2))]  # self-pairs
+        roots = gf2.components(n, pairs)
+        assert len(roots) == n
+        assert all(roots[r] == r for r in roots)  # a root is a member of its component
+        groups = {}
+        for k, r in enumerate(roots):
+            groups.setdefault(r, set()).add(k)
+        assert set(map(frozenset, groups.values())) == bfs_components(n, pairs), (n, pairs)
+
+
+def test_strip_keeps_every_component_with_homology(t23, t25):
+    """Stripping sums of several knots and acyclic summands keeps exactly
+    the components that a per-component homology computation calls
+    non-acyclic, however many there are."""
+    lone = BifilteredComplex.indexed(("g",), (1,), (0,), (0,), ((),), FiltrationMode.ALG_ALEX)
+    rng = random.Random(24)
+    several = 0
+    for trial in range(40):
+        parts = rng.sample([t23, t25, mirror(t25), lone], rng.randint(1, 4))
+        for _ in range(rng.randint(0, 4)):  # boxes and squares, off the diagonal in pairs
+            gr, a, b = rng.randrange(-2, 3), rng.randrange(-3, 4), rng.randrange(-3, 4)
+            parts.append(_acyclic_summand(gr, a, b, square=rng.random() < 0.5)[0])
+        rng.shuffle(parts)
+        C = parts[0]
+        for part in parts[1:]:
+            C = direct_sum(C, part)
+        live = [comp for comp in bfs_components(C.n, arrow_pairs(C))
+                if homology_rank(subcomplex(C, comp), 0) + homology_rank(subcomplex(C, comp), 1)]
+        several += len(live) > 1
+        kept = sorted(i for comp in live for i in comp)
+        stripped = strip_acyclic(C)
+        assert stripped.ids == tuple(C.ids[i] for i in kept)
+        assert stripped == subcomplex(C, kept)
+        assert essential_signature(C) == generator_signature(subcomplex(C, kept))
+    assert several > 20
+
+
+def test_strip_reduces_columns_once(monkeypatch, t37):
+    """Stripping reads the complex's one homology reduction (one column
+    reduction per parity), however many components it has."""
+    C = involutive_cone(t37)
+    for k in range(50):
+        C = direct_sum(C, fold(_acyclic_summand(k % 3, k % 5, k % 5, square=True)[0]))
+    calls, real = [], gf2.reduce_columns
+    monkeypatch.setattr(gf2, "reduce_columns", lambda cols: calls.append(1) or real(cols))
+    stripped = strip_acyclic(C)
+    assert len(calls) == 2
+    assert stripped.n == strip_acyclic(involutive_cone(t37)).n
