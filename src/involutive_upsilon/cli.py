@@ -193,7 +193,8 @@ def compute_knot(recipe: KnotRecipe, invariants, engine: str, strip: bool):
     return out
 
 
-def _emit(all_results, output: str, output_dir: Path) -> None:
+def _emit(all_results, output: str, output_dir: Path, stems) -> None:
+    """Print a table, or write files named by `stems`, one per knot in order."""
     stdout = sys.stdout
     if output == "table":
         for label, results in all_results:
@@ -207,8 +208,7 @@ def _emit(all_results, output: str, output_dir: Path) -> None:
                     stdout.write(f"  {UPSILON_LABELS[name]}: {format_plfunction(value)}\n")
         return
     output_dir.mkdir(parents=True, exist_ok=True)
-    for label, results in all_results:
-        slug = _slug(label)
+    for (label, results), slug in zip(all_results, stems):
         curves = {n: v for n, v in results.items() if isinstance(v, PLFunction)}
         if output == "csv":
             for name, f in curves.items():
@@ -242,8 +242,8 @@ def _cmd_compute(args) -> int:
     invariants = list(dict.fromkeys(names))  # first mention order, no repeats
     if not invariants:
         raise ValueError("no invariants requested")
+    stems: dict = {}  # file stem -> knot, in knot order
     if args.output != "table":
-        stems: dict = {}
         for text in args.knot:
             stem = _slug(text)
             if stem in stems:
@@ -255,7 +255,7 @@ def _cmd_compute(args) -> int:
         recipe = parse_knot_spec(text)
         results = compute_knot(recipe, invariants, args.engine, args.strip_acyclic)
         all_results.append((recipe.label, results))
-    _emit(all_results, args.output, Path(args.output_dir))
+    _emit(all_results, args.output, Path(args.output_dir), stems)
     return EXIT_OK
 
 

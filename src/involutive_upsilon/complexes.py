@@ -133,22 +133,22 @@ class BifilteredComplex:
         `indices` are the generators of that parity in generator order, and
         position k is the translate of generators[indices[k]] living in the
         grading.  d maps U^u x to translates with the same u, so nothing
-        here depends on which grading of the parity is asked for.  A rep is
-        a mask with bit k for position k; a boundary is the sorted tuple of
-        its positions (sorted because `targets` is and positions keep
-        generator order), one per independent column of d into the grading.
+        here depends on which grading of the parity is asked for.  A rep and
+        a boundary are both the sorted tuple of their positions; there is
+        one boundary per independent column of d into the grading (sorted
+        because `targets` is and positions keep generator order).
 
         Each parity class's columns are reduced once, and that serves both
         parities: class p's columns are d out of parity p, so one reduction
-        gives its kernel, the cycles of parity p, and its independent
-        columns and pivots, the boundary basis of parity 1 - p.  Parity p's
-        representatives then come by clearing (Chen-Kerber): the kernel
-        basis has one cycle per leading bit, and when d^2 = 0 (true of every
-        producer here and of every file that passes `validate`) every
-        boundary is a cycle, so the cycles whose leading bit is not one of
-        class 1 - p's pivots are exactly those independent of the
-        boundaries and of the cycles before them.  No cycle is reduced, and
-        masks are built only for the reduction.
+        gives its kernel, the cycles of parity p, and its rows, whose
+        combinations name the independent columns, the boundary basis of
+        parity 1 - p.  Parity p's representatives then come by clearing
+        (Chen-Kerber): the kernel basis has one cycle per leading bit, and
+        when d^2 = 0 (true of every producer here and of every file that
+        passes `validate`) every boundary is a cycle, so the cycles whose
+        leading bit is not a pivot of class 1 - p's rows are exactly those
+        independent of the boundaries and of the cycles before them.  No
+        cycle is reduced, and masks are built only for the reduction.
         """
         classes, pos = ([], []), []
         for i, g in enumerate(self.gradings):
@@ -156,10 +156,11 @@ class BifilteredComplex:
             classes[g % 2].append(i)
         columns = [[tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
                    for cls in classes]
-        kernels, pivots = zip(*(gf2.reduce_columns(map(gf2.mask, cols)) for cols in columns))
+        kernels, rows = zip(*(gf2.reduce_columns(map(gf2.mask, cols)) for cols in columns))
         return tuple((tuple(classes[p]),
-                      [z for z in kernels[p] if z.bit_length() - 1 not in pivots[1 - p]],
-                      [columns[1 - p][j] for j in pivots[1 - p].values()])
+                      [gf2.positions(z) for z in kernels[p]
+                       if z.bit_length() - 1 not in rows[1 - p]],
+                      [columns[1 - p][c.bit_length() - 1] for _, c in rows[1 - p].values()])
                      for p in (0, 1))
 
     @property
@@ -204,9 +205,8 @@ def validate(C: BifilteredComplex) -> ValidationReport:
 def homology_data(C: BifilteredComplex, grading: int):
     """Window, cycle reps and boundary basis for one grading.
 
-    The window lists the translates (u, id) living in the grading.  Reps are
-    masks, whose bit k is the k-th of them; boundaries are sorted tuples of
-    those positions k.
+    The window lists the translates (u, id) living in the grading.  Reps and
+    boundaries are sorted tuples of positions k, k naming the k-th of them.
     """
     indices, reps, boundaries = C.homology[grading % 2]
     window = [((C.gradings[i] - grading) // 2, C.ids[i]) for i in indices]

@@ -3,14 +3,16 @@
 Vectors are plain Python ints: bit i is coordinate i, and a row operation
 is one big-integer XOR.  Windows of long staircase cones reach a few
 thousand coordinates; dense bitmask rows stay exact there and cost one
-machine word per 64 coordinates.  `reduce_columns` reduces a complex's
-columns once for its homology.  `Eliminator` serves the Upsilon sweep of a
-tower with a boundary column of three or more positions, which reduces
-the same boundaries again under the bit order of each stop, once per piece
-of the answer, and back-substitutes over the stored pivots for its dual
-witness.  `components`, the one union-find, reduces columns of two
-positions by joining them, for towers with no wider column and for
-arrow-connected components.
+machine word per 64 coordinates.  `reduce_columns` is the one elimination.
+A complex's homology calls it once per parity class of columns.  The
+Upsilon sweep of a tower with a boundary column of three or more positions
+calls it once per piece of the answer, on the boundaries and the base cycle
+under the bit order of that stop, and back-substitutes over its rows for
+the dual witness.  `mask` and `positions` convert between a vector and the
+sorted tuple of its positions, the form chains take outside this module.
+`components`, the one union-find, reduces columns of two positions by
+joining them, for towers with no wider column and for arrow-connected
+components.
 """
 
 from __future__ import annotations
@@ -21,43 +23,25 @@ def mask(positions) -> int:
     return sum(map((1).__lshift__, positions))
 
 
-class Eliminator:
-    """Incremental row reduction, pivoting on the highest set bit."""
-
-    def __init__(self, vectors=()):
-        self.pivots: dict[int, int] = {}
-        for v in vectors:
-            self.add(v)
-
-    def residual(self, v: int) -> int:
-        """Reduce v against the stored pivots without recording it."""
-        pivots = self.pivots
-        while v:
-            row = pivots.get(v.bit_length() - 1)
-            if row is None:
-                break
-            v ^= row
-        return v
-
-    def add(self, v: int) -> int:
-        """Reduce v and record it if independent.  Returns the residual."""
-        r = self.residual(v)
-        if r:
-            self.pivots[r.bit_length() - 1] = r
-        return r
+def positions(v: int) -> tuple:
+    """The ascending positions of the set bits of v: the inverse of `mask`."""
+    return tuple(k for k, b in enumerate(reversed(bin(v))) if b == "1")
 
 
-def reduce_columns(columns) -> tuple[list[int], dict[int, int]]:
-    """Column reduction of the map sending coordinate i to columns[i].
+def reduce_columns(columns) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Column reduction of the map sending coordinate i to columns[i],
+    pivoting on the highest set bit.
 
-    Returns the kernel and the pivots.  Kernel masks live in the
+    Returns the kernel and the rows.  Kernel masks live in the
     column-index space; each has a distinct leading bit, the index of the
-    column whose dependence it records.  The pivots map each leading bit of
-    the image to the index of the column that took it; columns go in order,
-    so those indices, the independent columns, come out ascending.
+    column whose dependence it records, and the columns it names XOR to
+    zero.  The rows map each leading bit of the image to (row, combination):
+    the row is the XOR of the columns the combination names, and the
+    combination's leading bit is the index of the column that took that
+    pivot.  Columns go in order, so the rows come out in ascending order of
+    that index, and their combinations name the independent columns.
     """
     rows: dict[int, tuple[int, int]] = {}
-    pivots: dict[int, int] = {}
     kernel = []
     for i, col in enumerate(columns):
         v, combo = col, 1 << i
@@ -65,14 +49,13 @@ def reduce_columns(columns) -> tuple[list[int], dict[int, int]]:
             hb = v.bit_length() - 1
             if hb not in rows:
                 rows[hb] = (v, combo)
-                pivots[hb] = i
                 break
             pv, pc = rows[hb]
             v ^= pv
             combo ^= pc
         else:
             kernel.append(combo)
-    return kernel, pivots
+    return kernel, rows
 
 
 def components(n: int, pairs) -> list[int]:

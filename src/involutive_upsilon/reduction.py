@@ -231,7 +231,7 @@ def strip_acyclic(C: BifilteredComplex) -> BifilteredComplex:
        of either parity, the homology being 2-periodic.
     """
     roots = gf2.components(C.n, ((x, y) for x, ts in enumerate(C.targets) for y in ts))
-    live = {roots[indices[z.bit_length() - 1]] for indices, reps, _ in C.homology for z in reps}
+    live = {roots[indices[z[-1]]] for indices, reps, _ in C.homology for z in reps}
     return subcomplex(C, [i for i, root in enumerate(roots) if root in live])
 
 

@@ -79,17 +79,16 @@ def tower_upsilon(C: BifilteredComplex, grading: int) -> PLFunction:
 
 def _tower(C: BifilteredComplex, grading: int):
     """(lines, base, boundaries) of the grading's tower: the (slope,
-    intercept) of each coordinate, the positions of the base cycle and the
-    boundary columns as position tuples.  ValueError unless the homology
-    has rank 1.  The set-up is linear in the arrows."""
+    intercept) of each coordinate, and the base cycle and the boundary
+    columns as the position tuples of `homology`.  ValueError unless the
+    homology has rank 1.  The set-up is linear in the arrows."""
     indices, reps, boundaries = C.homology[grading % 2]
     if len(reps) != 1:
         raise ValueError(
             f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
-    base = [c for c, b in enumerate(reversed(bin(reps[0]))) if b == "1"]
     lines = [(C.f1[i] - C.f2[i], 2 * ((C.gradings[i] - grading) // 2 - C.f1[i]))
              for i in indices]
-    return lines, base, boundaries
+    return lines, reps[0], boundaries
 
 
 def _forest_upsilon(lines, base, boundaries) -> PLFunction:
@@ -165,16 +164,20 @@ def _sweep_upsilon(lines, base, boundaries) -> PLFunction:
 
     At a stop t, order the coordinates so that the lowest value takes the
     highest bit, ties broken by slope (the order just after t), and reduce
-    the base cycle against the boundary basis, pivoting on the highest bit.
-    The residual r = base + (boundaries) has leading bit `lead` with line
-    L, and two witnesses show Upsilon = L just after t:
+    the boundary columns and then the base cycle with
+    `gf2.reduce_columns`, pivoting on the highest bit.  The base is
+    independent of the boundaries (its class is not zero), so its residual
+    r takes the last row.  The row's combination, less the base's own bit,
+    names the boundary columns r added: r = base + d(w), w the sum of the
+    generators of those columns (the w of a certificate).  The leading bit
+    `lead` of r has line L, and two witnesses show Upsilon = L just after t:
 
     - primal: r is in the class and every line of its support is >= L, so
       Upsilon >= L;
-    - dual: the functional phi, found by back-substitution over the rows
-      whose pivot is above `lead`, is zero on every boundary row (rows
-      pivoting below `lead` have no bit >= `lead`) and one on the base
-      (every bit of r is <= `lead`), and its support lies in the bits
+    - dual: the functional phi, found by back-substitution over the
+      boundary rows whose pivot is above `lead`, is zero on every boundary
+      row (rows pivoting below `lead` have no bit >= `lead`) and one on the
+      base (every bit of r is <= `lead`), and its support lies in the bits
       >= `lead`.  Every cycle of the class meets that support, whose lines
       are <= L, so Upsilon <= L.
 
@@ -193,24 +196,22 @@ def _sweep_upsilon(lines, base, boundaries) -> PLFunction:
         bit = [0] * n
         for j, k in enumerate(order):
             bit[k] = n - 1 - j
-        elim = gf2.Eliminator(sum(1 << bit[k] for k in vec) for vec in boundaries)
-        r = elim.residual(sum(1 << bit[k] for k in base))
-        lead = r.bit_length() - 1
+        _, rows = gf2.reduce_columns(sum(1 << bit[k] for k in vec) for vec in (*boundaries, base))
+        lead, (r, _) = rows.popitem()  # the base's row, the last one stored
         slope, icpt = lines[order[n - 1 - lead]]
         pieces.append((Fraction(p, q), (slope, icpt)))  # PLFunction merges repeats
         dual = 1 << lead
-        for top in sorted(elim.pivots):
-            if top > lead and (elim.pivots[top] & dual).bit_count() & 1:
+        for top in sorted(rows):
+            if top > lead and (rows[top][0] & dual).bit_count() & 1:
                 dual |= 1 << top
         # the first crossing xn / xd > t of L by a watched line, with xd >= 0 (a
         # parallel line has xd = 0 and never passes); t = 2 ends the sweep
         num, den = 2, 1
-        for j, w in enumerate(reversed(bin(r | dual))):
-            if w == "1":
-                s, b = lines[order[n - 1 - j]]
-                xn, xd = (b - icpt, slope - s) if s < slope else (icpt - b, s - slope)
-                if xn * q > p * xd and xn * den < num * xd:
-                    num, den = xn, xd
+        for j in gf2.positions(r | dual):
+            s, b = lines[order[n - 1 - j]]
+            xn, xd = (b - icpt, slope - s) if s < slope else (icpt - b, s - slope)
+            if xn * q > p * xd and xn * den < num * xd:
+                num, den = xn, xd
         if num == 2 * den:
             return PLFunction.from_pieces(pieces)
         p, q = num, den

@@ -8,6 +8,7 @@ criteria 1 and 4-6 are those checks, called by name.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,19 @@ def _timed_check(name, check):
 def test_verify_check(name, check):
     detail = _timed_check(name, check)
     print(f"  verify/{name}: ok {detail} ({SECONDS[name]:.2f}s)", flush=True)
+
+
+def test_readme_check_table_matches_checks():
+    """README's `verify` table lists the checks of `CHECKS`, in order."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| check | what it compares |") + 2  # past the rule
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names.append(line.split("|")[1].strip().strip("`"))
+    assert names == [name for name, _ in CHECKS]
 
 
 def test_criterion_9_property_suites():

@@ -283,6 +283,40 @@ def test_components_match_bfs():
         assert set(map(frozenset, groups.values())) == bfs_components(n, pairs), (n, pairs)
 
 
+def test_reduce_columns_rows_and_kernel():
+    """The one elimination serves the homology (its kernel and the columns
+    its rows name) and the Upsilon sweep (its rows and their combinations);
+    checked against brute-force spans on seeded small inputs, with zero and
+    repeated columns."""
+    rng = random.Random(20261021)
+    for _ in range(300):
+        cols = [rng.randrange(1 << rng.randint(0, 10)) for _ in range(rng.randint(0, 10))]
+        if cols:
+            cols[rng.randrange(len(cols))] = 0
+            cols[rng.randrange(len(cols))] = cols[rng.randrange(len(cols))]
+        kernel, rows = gf2.reduce_columns(cols)
+
+        def xor(combo):
+            out = 0
+            for i in gf2.positions(combo):
+                out ^= cols[i]
+            return out
+
+        span, grew = {0}, []  # grew: the columns that enlarge the span of those before
+        for i, c in enumerate(cols):
+            if c not in span:
+                grew.append(i)
+                span |= {v ^ c for v in span}
+        assert len(rows) == len(span).bit_length() - 1, cols
+        assert [combo.bit_length() - 1 for _, combo in rows.values()] == grew, cols
+        for hb, (row, combo) in rows.items():
+            assert row.bit_length() - 1 == hb and xor(combo) == row, cols
+        assert len(kernel) + len(rows) == len(cols)
+        assert sorted(z.bit_length() - 1 for z in kernel) == sorted(
+            set(range(len(cols))) - set(grew)), cols
+        assert all(z and xor(z) == 0 for z in kernel), cols
+
+
 def test_strip_keeps_every_component_with_homology(t23, t25):
     """Stripping sums of several knots and acyclic summands keeps exactly
     the components that a per-component homology computation calls
