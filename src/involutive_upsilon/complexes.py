@@ -143,12 +143,12 @@ class BifilteredComplex:
         gives its kernel, the cycles of parity p, and its rows, whose
         combinations name the independent columns, the boundary basis of
         parity 1 - p.  Parity p's representatives then come by clearing
-        (Chen-Kerber): the kernel basis has one cycle per leading bit, and
-        when d^2 = 0 (true of every producer here and of every file that
+        (Chen-Kerber): the kernel basis has one cycle per leading element,
+        and when d^2 = 0 (true of every producer here and of every file that
         passes `validate`) every boundary is a cycle, so the cycles whose
-        leading bit is not a pivot of class 1 - p's rows are exactly those
-        independent of the boundaries and of the cycles before them.  No
-        cycle is reduced, and masks are built only for the reduction.
+        leading element is not a pivot of class 1 - p's rows are exactly
+        those independent of the boundaries and of the cycles before them.
+        No cycle is reduced, and the reduction takes the tuples as they are.
         """
         classes, pos = ([], []), []
         for i, g in enumerate(self.gradings):
@@ -156,11 +156,10 @@ class BifilteredComplex:
             classes[g % 2].append(i)
         columns = [[tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
                    for cls in classes]
-        kernels, rows = zip(*(gf2.reduce_columns(map(gf2.mask, cols)) for cols in columns))
+        kernels, rows = zip(*map(gf2.reduce_columns, columns))
         return tuple((tuple(classes[p]),
-                      [gf2.positions(z) for z in kernels[p]
-                       if z.bit_length() - 1 not in rows[1 - p]],
-                      [columns[1 - p][c.bit_length() - 1] for _, c in rows[1 - p].values()])
+                      [tuple(sorted(z)) for z in kernels[p] if max(z) not in rows[1 - p]],
+                      [columns[1 - p][max(c)] for _, c in rows[1 - p].values()])
                      for p in (0, 1))
 
     @property
@@ -190,9 +189,7 @@ def validate(C: BifilteredComplex) -> ValidationReport:
                     ("filtered", f"{ids[x]}->{ids[y]}",
                      f"bidegree {(f1[x], f2[x])} -> {(f1[y], f2[y])} is not non-increasing"))
     for x, ts in enumerate(C.targets):
-        acc: set = set()
-        for t in ts:
-            acc.symmetric_difference_update(C.targets[t])
+        acc = gf2.column_sum(C.targets, ts)
         if acc:
             hits = sorted(ids[j] for j in acc)
             violations.append(("d-squared", ids[x], f"boundary of boundary hits {hits}"))

@@ -1,56 +1,56 @@
-"""F2 linear algebra on integer bitmasks.
+"""F2 linear algebra on sets of positions.
 
-Vectors are plain Python ints: bit i is coordinate i, and a row operation
-is one big-integer XOR.  Windows of long staircase cones reach a few
-thousand coordinates; dense bitmask rows stay exact there and cost one
-machine word per 64 coordinates.  `reduce_columns` is the one elimination.
-A complex's homology calls it once per parity class of columns.  The
-Upsilon sweep of a tower with a boundary column of three or more positions
-calls it once per piece of the answer, on the boundaries and the base cycle
-under the bit order of that stop, and back-substitutes over its rows for
-the dual witness.  `mask` and `positions` convert between a vector and the
-sorted tuple of its positions, the form chains take outside this module.
-`components`, the one union-find, reduces columns of two positions by
-joining them, for towers with no wider column and for arrow-connected
-components.
+A vector is the set of its positions, as a chain is the sorted tuple of
+its positions everywhere else in the package; a row operation is one
+symmetric difference.  A stored vector costs its support, not its highest
+position, so the reductions of staircases, folds and cones, whose columns
+and combinations hold a few positions each, stay linear in the arrows.
+`reduce_columns` is the one elimination.  A complex's homology calls it
+once per parity class of columns.  The Upsilon sweep of a tower with a
+boundary column of three or more positions calls it once per stop, that is
+once per expiry of a witness, on the boundaries and the base cycle under
+the position order of that stop, and back-substitutes over its rows for
+the dual witness.  `column_sum` is the image of one chain, for checks and
+for sums of a few columns.  `components`, the one union-find, reduces
+columns of two positions by joining them, for towers with no wider column
+and for arrow-connected components.
 """
 
 from __future__ import annotations
 
 
-def mask(positions) -> int:
-    """The vector with bit k set for each k of `positions` (distinct)."""
-    return sum(map((1).__lshift__, positions))
+def column_sum(columns, ks) -> set:
+    """The sum of the columns at the indices ks, as a set of positions."""
+    out: set = set()
+    for k in ks:
+        out.symmetric_difference_update(columns[k])
+    return out
 
 
-def positions(v: int) -> tuple:
-    """The ascending positions of the set bits of v: the inverse of `mask`."""
-    return tuple(k for k, b in enumerate(reversed(bin(v))) if b == "1")
+def reduce_columns(columns) -> tuple[list[set], dict[int, tuple[set, set]]]:
+    """Column reduction of the map sending coordinate i to columns[i] (any
+    collection of distinct positions), pivoting on the highest position.
 
-
-def reduce_columns(columns) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """Column reduction of the map sending coordinate i to columns[i],
-    pivoting on the highest set bit.
-
-    Returns the kernel and the rows.  Kernel masks live in the
-    column-index space; each has a distinct leading bit, the index of the
-    column whose dependence it records, and the columns it names XOR to
-    zero.  The rows map each leading bit of the image to (row, combination):
-    the row is the XOR of the columns the combination names, and the
-    combination's leading bit is the index of the column that took that
-    pivot.  Columns go in order, so the rows come out in ascending order of
-    that index, and their combinations name the independent columns.
+    Returns the kernel and the rows, every vector a set.  Kernel vectors
+    live in the column-index space; each has a distinct leading element,
+    the index of the column whose dependence it records, and the columns it
+    names sum to zero.  The rows map each leading position of the image to
+    (row, combination): the row is the sum of the columns the combination
+    names, and the combination's leading element is the index of the
+    column that took that pivot.  Columns go in order, so the rows come out
+    in ascending order of that index, and their combinations name the
+    independent columns.
     """
-    rows: dict[int, tuple[int, int]] = {}
+    rows: dict[int, tuple[set, set]] = {}
     kernel = []
     for i, col in enumerate(columns):
-        v, combo = col, 1 << i
+        v, combo = set(col), {i}
         while v:
-            hb = v.bit_length() - 1
-            if hb not in rows:
-                rows[hb] = (v, combo)
+            top = max(v)
+            if top not in rows:
+                rows[top] = (v, combo)
                 break
-            pv, pc = rows[hb]
+            pv, pc = rows[top]
             v ^= pv
             combo ^= pc
         else:

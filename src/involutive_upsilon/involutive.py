@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode, adjacency
 
 
@@ -89,13 +90,7 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
                                  f"not {kind}"))
     out = [msg for _, msg in sorted(problems, key=lambda p: p[0])]
     for gid, ts, ys in zip(src.ids, src.targets, images):
-        lhs: set = set()
-        for t in ts:
-            lhs.symmetric_difference_update(images[t])
-        rhs: set = set()
-        for y in ys:
-            rhs.symmetric_difference_update(tgt.targets[y])
-        if lhs != rhs:
+        if gf2.column_sum(images, ts) != gf2.column_sum(tgt.targets, ys):
             out.append(f"{gid}: does not commute with the differential")
     return out
 

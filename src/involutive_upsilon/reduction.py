@@ -18,7 +18,7 @@ the heap; any other input goes through both.
 
 `strip_acyclic` drops the acyclic arrow-connected components, found by
 one union-find (`gf2.components`) and read off the complex's one cached
-homology reduction.
+homology reduction, which it carries over to what it keeps.
 
 `closed_form_cone_reduction` is the combinatorial shortcut for the reduced
 involutive cone of a symmetric staircase: a single diagonal vertex plus a
@@ -193,10 +193,7 @@ def reduced_cone(F: BifilteredComplex, I: ChainMap) -> BifilteredComplex:
 
 def _sum(cols: list, ks) -> tuple:
     """The F2 sum of the columns at the indices ks, as a sorted tuple."""
-    acc: set = set()
-    for k in ks:
-        acc.symmetric_difference_update(cols[k])
-    return tuple(sorted(acc))
+    return tuple(sorted(gf2.column_sum(cols, ks)))
 
 
 def _picked(C: BifilteredComplex, keep: list, targets: tuple) -> BifilteredComplex:
@@ -229,10 +226,20 @@ def strip_acyclic(C: BifilteredComplex) -> BifilteredComplex:
        within a component span its homology;
     3. so a component is acyclic exactly when it holds no representative
        of either parity, the homology being 2-periodic.
+    By 1, the kept columns' reduction is C's restricted to them, so the
+    result carries C's homology, re-indexed, as `fold` does.
     """
     roots = gf2.components(C.n, ((x, y) for x, ts in enumerate(C.targets) for y in ts))
     live = {roots[indices[z[-1]]] for indices, reps, _ in C.homology for z in reps}
-    return subcomplex(C, [i for i, root in enumerate(roots) if root in live])
+    S = subcomplex(C, [i for i, root in enumerate(roots) if root in live])
+    homology = []
+    for p, (indices, reps, boundaries) in enumerate(C.homology):
+        new = {k: j for j, k in enumerate(k for k, i in enumerate(indices) if roots[i] in live)}
+        homology.append((tuple(i for i, g in enumerate(S.gradings) if g % 2 == p),
+                         [tuple(map(new.get, z)) for z in reps],
+                         [tuple(map(new.get, b)) for b in boundaries if b[0] in new]))
+    S.__dict__["homology"] = tuple(homology)
+    return S
 
 
 def generator_signature(C: BifilteredComplex) -> tuple:

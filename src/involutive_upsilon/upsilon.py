@@ -11,7 +11,7 @@ When every boundary column has at most two positions (staircases, their
 mirrors and folds, reduced cones and stripped file knots), Upsilon is a
 lower envelope of upper envelopes of lines, read off one union-find with
 no elimination.  Otherwise a sweep over t reduces the base cycle in
-filtration order once per piece.
+filtration order wherever a witness of the current piece expires.
 
 Variants: all four are `tower_upsilon` of one complex.  CLASSIC applies
 the same weights verbatim to the (alg, Alex) pair of an unfolded complex
@@ -163,51 +163,52 @@ def _sweep_upsilon(lines, base, boundaries) -> PLFunction:
     has three or more positions (it holds on any tower): a sweep over t.
 
     At a stop t, order the coordinates so that the lowest value takes the
-    highest bit, ties broken by slope (the order just after t), and reduce
-    the boundary columns and then the base cycle with
-    `gf2.reduce_columns`, pivoting on the highest bit.  The base is
+    highest position, ties broken by slope (the order just after t), and
+    reduce the boundary columns and then the base cycle with
+    `gf2.reduce_columns`, pivoting on the highest position.  The base is
     independent of the boundaries (its class is not zero), so its residual
-    r takes the last row.  The row's combination, less the base's own bit,
+    r takes the last row.  The row's combination, less the base's index,
     names the boundary columns r added: r = base + d(w), w the sum of the
-    generators of those columns (the w of a certificate).  The leading bit
-    `lead` of r has line L, and two witnesses show Upsilon = L just after t:
+    generators of those columns (the w of a certificate).  The leading
+    position `lead` of r has line L; two witnesses show Upsilon = L after t:
 
     - primal: r is in the class and every line of its support is >= L, so
       Upsilon >= L;
     - dual: the functional phi, found by back-substitution over the
       boundary rows whose pivot is above `lead`, is zero on every boundary
-      row (rows pivoting below `lead` have no bit >= `lead`) and one on the
-      base (every bit of r is <= `lead`), and its support lies in the bits
-      >= `lead`.  Every cycle of the class meets that support, whose lines
-      are <= L, so Upsilon <= L.
+      row (rows pivoting below `lead` hold no position >= `lead`) and one on
+      the base (every position of r is <= `lead`), and its support lies in
+      the positions >= `lead`.  Every cycle of the class meets that
+      support, whose lines are <= L, so Upsilon <= L.
 
     Both hold until a line of supp r or supp phi crosses L, so the next stop
-    is the first such crossing after t: the sweep stops once per piece.  A
-    line of supp r with a larger slope than L, or of supp phi with a smaller
+    is the first such crossing after t.  New witnesses may keep L, so stops
+    can outnumber pieces (K#-K, K = T(20,21): 46 stops, one piece).  A line
+    of supp r with a larger slope than L, or of supp phi with a smaller
     one, meets L at or before t, so no direction filter is needed.
     """
     n = len(lines)
     pieces = []
     p, q = 0, 1  # the sweep position t = p / q
     while True:
-        # ascending value at t, then ascending slope: position j takes bit n-1-j
+        # ascending value at t, then ascending slope: the j-th takes position n-1-j
         order = sorted(range(n), key=lambda k: (lines[k][0] * p + lines[k][1] * q,
                                                  lines[k][0]))
-        bit = [0] * n
+        pos = [0] * n
         for j, k in enumerate(order):
-            bit[k] = n - 1 - j
-        _, rows = gf2.reduce_columns(sum(1 << bit[k] for k in vec) for vec in (*boundaries, base))
+            pos[k] = n - 1 - j
+        _, rows = gf2.reduce_columns(map(pos.__getitem__, vec) for vec in (*boundaries, base))
         lead, (r, _) = rows.popitem()  # the base's row, the last one stored
         slope, icpt = lines[order[n - 1 - lead]]
         pieces.append((Fraction(p, q), (slope, icpt)))  # PLFunction merges repeats
-        dual = 1 << lead
+        dual = {lead}
         for top in sorted(rows):
-            if top > lead and (rows[top][0] & dual).bit_count() & 1:
-                dual |= 1 << top
+            if top > lead and len(rows[top][0] & dual) & 1:
+                dual.add(top)
         # the first crossing xn / xd > t of L by a watched line, with xd >= 0 (a
         # parallel line has xd = 0 and never passes); t = 2 ends the sweep
         num, den = 2, 1
-        for j in gf2.positions(r | dual):
+        for j in r | dual:
             s, b = lines[order[n - 1 - j]]
             xn, xd = (b - icpt, slope - s) if s < slope else (icpt - b, s - slope)
             if xn * q > p * xd and xn * den < num * xd:

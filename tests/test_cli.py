@@ -586,6 +586,24 @@ def test_compute_large_coset_torus(capsys):
     assert "V̅0 = 16, V̲0 = 16" in out
 
 
+def test_compute_staircase_of_100k_generators(capsys):
+    """[1,2]*k+[2,1]*k with 10^5 steps: its spec is past the 128 KiB that
+    Linux allows one argv string, so it reaches `main` in-process.  Every
+    invariant comes out, the generic engine cross-checked against the
+    closed form."""
+    k = 25000
+    spec = "steps:+:" + ",".join(map(str, [1, 2] * k + [2, 1] * k))
+    code, out, err = run_cli(capsys, "compute", "--knot", spec, "--engine", "both")
+    assert code == EXIT_OK, err
+    assert out == (f"knot {spec}\n"
+                   "  Υ (classic): -75000t on [0,2/3]; -50000 on [2/3,4/3]; "
+                   "75000t - 150000 on [4/3,2]\n"
+                   "  Υᶠ (folded): -75000t on [0,2/3]; -50000 on [2/3,2]\n"
+                   "  Ῡ (upper): -75000t on [0,2/3]; -50000 on [2/3,2]\n"
+                   "  Υ̲ (lower): -50000 on [0,2]\n"
+                   "  V̅0 = 25000, V̲0 = 25000\n")
+
+
 def test_usage_errors_repeat_with_one_parser(capsys):
     # main builds its argparse parser once per process and reuses it
     errors = []

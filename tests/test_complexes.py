@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -125,14 +126,37 @@ def test_homology_matches_brute_oracle(t23, t25):
 
 def test_homology_reduces_each_parity_class_once(t37, monkeypatch):
     cone = t37_cone(t37)
-    calls, mask = [], gf2.mask
-    monkeypatch.setattr(gf2, "mask", lambda positions: calls.append(1) or mask(positions))
+    calls, real = [], gf2.reduce_columns
+
+    def counted(columns):
+        columns = list(columns)
+        calls.append(len(columns))
+        return real(columns)
+
+    monkeypatch.setattr(gf2, "reduce_columns", counted)
     lo, hi = cone.grading_span()
     for g in range(lo, hi + 1):
         homology_rank(cone, g)
     homology_data(cone, 0)
     homology_data(cone, 1)
-    assert len(calls) == cone.n
+    # one call per parity class, every column once
+    assert len(calls) == 2 and sum(calls) == cone.n
+
+
+def test_homology_memory_is_linear_on_staircases():
+    """A vector held by the reduction costs its support, so the homology of
+    [1,2]*k+[2,1]*k peaks about x2 per doubling of its generators; vectors
+    costing their highest position would give about x3.4."""
+    peaks = []
+    for k in (2500, 5000):  # 10001 and 20001 generators
+        C = staircase_from_steps(StaircaseSpec((1, 2) * k + (2, 1) * k, Sign.POSITIVE))
+        tracemalloc.start()
+        try:
+            assert homology_rank(C, 0) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0], peaks
 
 
 def test_homology_ordering_invariance(t25):

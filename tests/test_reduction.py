@@ -16,7 +16,8 @@ from involutive_upsilon.involutive import chain_map_violations
 from involutive_upsilon.staircase import mirror
 from involutive_upsilon.reduction import (generator_signature, is_reduced,
                                           strip_acyclic, subcomplex)
-from involutive_upsilon.verify import _acyclic_summand, symmetric_specs
+from involutive_upsilon.verify import (VerifySettings, _acyclic_summand, staircase_corpus,
+                                       symmetric_specs)
 from involutive_upsilon.upsilon import upsilon_pair_from_cone
 
 from oracles import bfs_components, boundary_ids
@@ -287,34 +288,35 @@ def test_reduce_columns_rows_and_kernel():
     """The one elimination serves the homology (its kernel and the columns
     its rows name) and the Upsilon sweep (its rows and their combinations);
     checked against brute-force spans on seeded small inputs, with zero and
-    repeated columns."""
+    repeated columns given as tuples, lists and sets of positions."""
     rng = random.Random(20261021)
     for _ in range(300):
-        cols = [rng.randrange(1 << rng.randint(0, 10)) for _ in range(rng.randint(0, 10))]
+        cols = [rng.sample(range(10), rng.randint(0, 10)) for _ in range(rng.randint(0, 10))]
         if cols:
-            cols[rng.randrange(len(cols))] = 0
-            cols[rng.randrange(len(cols))] = cols[rng.randrange(len(cols))]
-        kernel, rows = gf2.reduce_columns(cols)
+            cols[rng.randrange(len(cols))] = []
+            cols[rng.randrange(len(cols))] = list(cols[rng.randrange(len(cols))])
+        given = [rng.choice((tuple, list, set))(c) for c in cols]
+        kernel, rows = gf2.reduce_columns(given)
+        assert given == [type(g)(c) for g, c in zip(given, cols)]  # the input is not changed
 
         def xor(combo):
-            out = 0
-            for i in gf2.positions(combo):
-                out ^= cols[i]
+            out = set()
+            for i in combo:
+                out ^= set(cols[i])
             return out
 
-        span, grew = {0}, []  # grew: the columns that enlarge the span of those before
-        for i, c in enumerate(cols):
+        span, grew = {frozenset()}, []  # grew: the columns that enlarge the span of those before
+        for i, c in enumerate(map(frozenset, cols)):
             if c not in span:
                 grew.append(i)
                 span |= {v ^ c for v in span}
         assert len(rows) == len(span).bit_length() - 1, cols
-        assert [combo.bit_length() - 1 for _, combo in rows.values()] == grew, cols
-        for hb, (row, combo) in rows.items():
-            assert row.bit_length() - 1 == hb and xor(combo) == row, cols
+        assert [max(combo) for _, combo in rows.values()] == grew, cols
+        for top, (row, combo) in rows.items():
+            assert max(row) == top and xor(combo) == row, cols
         assert len(kernel) + len(rows) == len(cols)
-        assert sorted(z.bit_length() - 1 for z in kernel) == sorted(
-            set(range(len(cols))) - set(grew)), cols
-        assert all(z and xor(z) == 0 for z in kernel), cols
+        assert sorted(max(z) for z in kernel) == sorted(set(range(len(cols))) - set(grew)), cols
+        assert all(z and xor(z) == set() for z in kernel), cols
 
 
 def test_strip_keeps_every_component_with_homology(t23, t25):
@@ -355,3 +357,26 @@ def test_strip_reduces_columns_once(monkeypatch, t37):
     stripped = strip_acyclic(C)
     assert len(calls) == 2
     assert stripped.n == strip_acyclic(involutive_cone(t37)).n
+
+
+def test_strip_carries_its_homology(monkeypatch, t37):
+    """The stripped complex carries the input's homology, re-indexed: the
+    triples its own reduction gives, on the knots, cones and reduced cones
+    of `staircase_corpus` with seeded boxes and squares summed on either
+    side.  So Upsilon off a stripped cone reduces no column again."""
+    rng = random.Random(26)
+    for spec in staircase_corpus(VerifySettings(max_steps=6)):
+        C = staircase_from_steps(spec)
+        for X in (C, involutive_cone(C, reduce_cone=False), involutive_cone(C)):
+            for _ in range(rng.randint(0, 3)):
+                gr, a, b = rng.randrange(-2, 3), rng.randrange(-3, 4), rng.randrange(-3, 4)
+                Z = _acyclic_summand(gr, a, b, square=rng.random() < 0.5)[0]
+                Z = Z if X.mode is FiltrationMode.ALG_ALEX else fold(Z)
+                X = direct_sum(X, Z) if rng.random() < 0.5 else direct_sum(Z, X)
+            S = strip_acyclic(X)
+            fresh = BifilteredComplex.indexed(S.ids, S.gradings, S.f1, S.f2, S.targets, S.mode)
+            assert S.homology == fresh.homology, (spec, X.mode)
+    calls, real = [], gf2.reduce_columns
+    monkeypatch.setattr(gf2, "reduce_columns", lambda cols: calls.append(1) or real(cols))
+    upsilon_pair_from_cone(involutive_cone(t37, strip=True))
+    assert len(calls) == 2
