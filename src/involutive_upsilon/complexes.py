@@ -148,19 +148,23 @@ class BifilteredComplex:
         passes `validate`) every boundary is a cycle, so the cycles whose
         leading element is not a pivot of class 1 - p's rows are exactly
         those independent of the boundaries and of the cycles before them.
-        No cycle is reduced, and the reduction takes the tuples as they are.
+        No cycle is reduced, and the reduction takes the `targets` tuples as
+        they are: a column's entries are generator indices of the other
+        class, which keep the order of its positions, so the pivots are the
+        same, and only the boundary columns are then read as positions.
         """
-        classes, pos = ([], []), []
+        T, classes, pos = self.targets, ([], []), []
         for i, g in enumerate(self.gradings):
             pos.append(len(classes[g % 2]))
             classes[g % 2].append(i)
-        columns = [[tuple(map(pos.__getitem__, self.targets[i])) for i in cls]
-                   for cls in classes]
-        kernels, rows = zip(*map(gf2.reduce_columns, columns))
-        return tuple((tuple(classes[p]),
-                      [tuple(sorted(z)) for z in kernels[p] if max(z) not in rows[1 - p]],
-                      [columns[1 - p][max(c)] for _, c in rows[1 - p].values()])
-                     for p in (0, 1))
+        kernels, rows = zip(*(gf2.reduce_columns([T[i] for i in cls]) for cls in classes))
+        out = []
+        for p in (0, 1):
+            cls, other, pivots = classes[p], classes[1 - p], rows[1 - p]
+            out.append((tuple(cls),
+                        [tuple(sorted(z)) for z in kernels[p] if cls[max(z)] not in pivots],
+                        [tuple([pos[j] for j in T[other[max(c)]]]) for _, c in pivots.values()]))
+        return tuple(out)
 
     @property
     def n(self) -> int:

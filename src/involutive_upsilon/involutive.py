@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import gf2
 from .complexes import BifilteredComplex, FiltrationMode, adjacency
 
 
@@ -77,20 +76,26 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
     src, tgt, images = M.source, M.target, M.images
     kind = "skew-filtered" if skew else "filtered"
     b1, b2 = (src.f2, src.f1) if skew else (src.f1, src.f2)
-    sid, tid = src.ids, tgt.ids
+    sid, tid, sg, tg, tf1, tf2 = src.ids, tgt.ids, src.gradings, tgt.gradings, tgt.f1, tgt.f2
     problems = []  # ((x id, y id), message), sorted before they are reported
     for x, ys in enumerate(images):
         for y in ys:
-            if tgt.gradings[y] != src.gradings[x]:
+            if tg[y] != sg[x]:
                 problems.append(((sid[x], tid[y]), f"{sid[x]}->{tid[y]}: grading "
-                                 f"{src.gradings[x]} -> {tgt.gradings[y]} not preserved"))
-            if tgt.f1[y] > b1[x] or tgt.f2[y] > b2[x]:
+                                 f"{sg[x]} -> {tg[y]} not preserved"))
+            if tf1[y] > b1[x] or tf2[y] > b2[x]:
                 problems.append(((sid[x], tid[y]), f"{sid[x]}->{tid[y]}: bidegree "
-                                 f"{(tgt.f1[y], tgt.f2[y])} exceeds {(b1[x], b2[x])}, "
+                                 f"{(tf1[y], tf2[y])} exceeds {(b1[x], b2[x])}, "
                                  f"not {kind}"))
     out = [msg for _, msg in sorted(problems, key=lambda p: p[0])]
-    for gid, ts, ys in zip(src.ids, src.targets, images):
-        if gf2.column_sum(images, ts) != gf2.column_sum(tgt.targets, ys):
+    T = tgt.targets
+    for gid, ts, ys in zip(sid, src.targets, images):
+        diff = set()  # (dM + Md)(x), which is zero when x commutes
+        for t in ts:
+            diff.symmetric_difference_update(images[t])
+        for y in ys:
+            diff.symmetric_difference_update(T[y])
+        if diff:
             out.append(f"{gid}: does not commute with the differential")
     return out
 
@@ -98,12 +103,16 @@ def chain_map_violations(M: ChainMap, skew: bool = False) -> list[str]:
 def fold(C: BifilteredComplex) -> BifilteredComplex:
     """Replace each bidegree by (min, max); the Min-Max bifiltration.  Only
     f1 and f2 are new tuples: ids, gradings and targets are C's own, so C's
-    homology, which reads only those, carries over if C has computed it."""
+    homology, which reads only those, carries over if C has computed it.
+    The folded complex is kept on C, so every fold of C is the same object."""
     if C.mode is FiltrationMode.MIN_MAX:
         raise ValueError("complex is already folded")
-    F = BifilteredComplex.indexed(C.ids, C.gradings, tuple(map(min, C.f1, C.f2)),
-                                  tuple(map(max, C.f1, C.f2)), C.targets,
-                                  FiltrationMode.MIN_MAX)
+    F = C.__dict__.get("folded")
+    if F is None:
+        pairs = list(zip(C.f1, C.f2))
+        F = C.__dict__["folded"] = BifilteredComplex.indexed(
+            C.ids, C.gradings, tuple([a if a < b else b for a, b in pairs]),
+            tuple([b if a < b else a for a, b in pairs]), C.targets, FiltrationMode.MIN_MAX)
     if "homology" in C.__dict__:
         F.__dict__["homology"] = C.homology
     return F
@@ -124,17 +133,14 @@ def staircase_involution(C: BifilteredComplex) -> ChainMap:
     """
     if C.mode is not FiltrationMode.ALG_ALEX:
         raise ValueError("involution matching needs an unfolded (ALG_ALEX) complex")
-    lookup: dict[tuple, list] = {}
-    for i, key in enumerate(zip(C.gradings, C.f1, C.f2)):
-        lookup.setdefault(key, []).append(i)
-    images = []
-    for i, key in enumerate(zip(C.gradings, C.f2, C.f1)):
-        partners = lookup.get(key, [])
-        if len(partners) != 1:
-            raise ValueError(
-                f"no unique reflection partner for {C.ids[i]} at {(C.f1[i], C.f2[i])}: complex is not a symmetric staircase")
-        images.append(tuple(partners))
-    return ChainMap.indexed(C, C, tuple(images))
+    keys = list(zip(C.gradings, C.f1, C.f2))
+    index = dict(zip(keys, range(C.n)))
+    images = [index.get(key) for key in zip(C.gradings, C.f2, C.f1)]
+    if len(index) < C.n or None in images:  # a repeated key leaves someone two partners
+        i = next(i for i, key in enumerate(zip(C.gradings, C.f2, C.f1)) if keys.count(key) != 1)
+        raise ValueError(
+            f"no unique reflection partner for {C.ids[i]} at {(C.f1[i], C.f2[i])}: complex is not a symmetric staircase")
+    return ChainMap.indexed(C, C, tuple(zip(images)))
 
 
 def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
@@ -160,5 +166,5 @@ def mapping_cone(C: BifilteredComplex, I_map: ChainMap) -> BifilteredComplex:
 def cone_columns(ids: tuple, gradings: tuple, f1: tuple, f2: tuple) -> tuple:
     """The cone's ids, gradings, f1 and f2 over these generators' columns:
     the A copy, then the B copy."""
-    return (tuple(f"A.{s}" for s in ids) + tuple(f"B.{s}" for s in ids),
-            tuple(g + 1 for g in gradings) + gradings, f1 + f1, f2 + f2)
+    return (tuple([f"A.{s}" for s in ids] + [f"B.{s}" for s in ids]),
+            tuple([g + 1 for g in gradings]) + gradings, f1 + f1, f2 + f2)

@@ -171,29 +171,34 @@ def reduced_cone(F: BifilteredComplex, I: ChainMap) -> BifilteredComplex:
     matched = (len(partner) == n and [partner[j] for j in partner] == list(range(n))
                and [key[j] for j in partner] == key)
     # weakly lower in both levels, so a smaller sum means a different bidegree
-    if not matched or not all(f1[y] <= f1[x] and f2[y] <= f2[x] and f1[y] + f2[y] < f1[x] + f2[x]
-                              for x, ts in enumerate(T) for y in ts):
+    if not matched or not all(f1[y] <= a and f2[y] <= b and f1[y] + f2[y] < a + b
+                              for ts, a, b in zip(T, f1, f2) for y in ts):
         return reduce_bifiltered(mapping_cone(F, I)).reduced
     kept = [i for i, j in enumerate(partner) if j <= i]
     m, pos = len(kept), [None] * n
     for k, i in enumerate(kept):
         pos[i] = k
     # what A_k and B_k become in R: themselves if kept, else 0 and the rest
-    # of d(A_k), the two columns of step 4
+    # of d(A_k), the two columns of step 4, each a sorted tuple
     a_col = [() if p is None else (p,) for p in pos]
     b_col = [(m + p,) if p is not None else
              (*[c for k in T[i] for c in a_col[k]], m + pos[partner[i]])
              for i, p in enumerate(pos)]
-    targets = [_sum(a_col, T[j] if partner[j] == j else T[j] + T[partner[j]]) for j in kept]
-    targets += [_sum(b_col, T[z]) for z in kept]
+    targets = []  # one source column is the sum as it is; only wider sums are summed
+    for cols, sources in ((a_col, [T[j] if partner[j] == j else T[j] + T[partner[j]]
+                                   for j in kept]),
+                          (b_col, [T[z] for z in kept])):
+        for ks in sources:
+            if len(ks) > 1:
+                col = set()
+                for k in ks:
+                    col ^= set(cols[k])
+                targets.append(tuple(sorted(col)))
+            else:
+                targets.append(cols[ks[0]] if ks else ())
     return BifilteredComplex.indexed(
-        *cone_columns(*(tuple(c[i] for i in kept) for c in (F.ids, F.gradings, f1, f2))),
+        *cone_columns(*[tuple([c[i] for i in kept]) for c in (F.ids, F.gradings, f1, f2)]),
         tuple(targets), FiltrationMode.MIN_MAX)
-
-
-def _sum(cols: list, ks) -> tuple:
-    """The F2 sum of the columns at the indices ks, as a sorted tuple."""
-    return tuple(sorted(gf2.column_sum(cols, ks)))
 
 
 def _picked(C: BifilteredComplex, keep: list, targets: tuple) -> BifilteredComplex:
@@ -283,11 +288,9 @@ def closed_form_cone_reduction(spec: StaircaseSpec) -> ClosedFormOutput:
 def materialize_closed_form(out: ClosedFormOutput) -> BifilteredComplex:
     """Build the MIN_MAX complex described by a ClosedFormOutput."""
     positive = out.tail_homology_grading == 0
-    points = staircase_points(out.tail_steps, out.tail_start,
-                              "right" if positive else "down")
-    ids = [f"s{i}" for i in range(len(points))]
-    tail = staircase_complex(points, source_parity=1 if positive else 0,
-                             mode=FiltrationMode.MIN_MAX, ids=ids)
+    f1, f2 = staircase_points(out.tail_steps, out.tail_start, "right" if positive else "down")
+    tail = staircase_complex(f1, f2, source_parity=1 if positive else 0,
+                             mode=FiltrationMode.MIN_MAX, ids=[f"s{i}" for i in range(len(f1))])
     a, b = out.v0_bidegree
     return BifilteredComplex.indexed(tail.ids + ("v0",), tail.gradings + (out.v0_grading,),
                                      tail.f1 + (a,), tail.f2 + (b,), tail.targets + ((),),

@@ -18,7 +18,7 @@ UPSILON_LABELS = {
 
 
 def format_rational(x) -> str:
-    return str(Fraction(x))  # "n" or "n/d"
+    return str(x if type(x) in (int, Fraction) else Fraction(x))  # "n" or "n/d"
 
 
 def _format_linear(slope, intercept) -> str:

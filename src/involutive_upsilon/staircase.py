@@ -68,39 +68,37 @@ class StaircaseClass:
     d: int
 
 
-def staircase_points(steps, start: tuple, first_move: str) -> list[tuple]:
-    """Vertex coordinates of a staircase walk.
+def staircase_points(steps, start: tuple, first_move: str) -> tuple[tuple, tuple]:
+    """The f1 and f2 columns of the vertices of a staircase walk.
 
     first_move "right" increments f1 on odd positions (1-indexed) and
     decrements f2 on even ones; "down" swaps the roles.
     """
-    f1, f2 = start
-    pts = [(f1, f2)]
-    right_on_odd = first_move == "right"
-    for i, a in enumerate(steps):
-        odd = i % 2 == 0
-        if odd == right_on_odd:
-            f1 += a
-        else:
-            f2 -= a
-        pts.append((f1, f2))
-    return pts
+    f1, f2 = [start[0]] + [0] * len(steps), [start[1]] + [0] * len(steps)
+    right, down = (1, 2) if first_move == "right" else (2, 1)
+    f1[right::2] = steps[right - 1::2]
+    f2[down::2] = [-a for a in steps[down - 1::2]]
+    return tuple(accumulate(f1)), tuple(accumulate(f2))
 
 
-def staircase_complex(points, source_parity: int, mode=FiltrationMode.ALG_ALEX,
+def staircase_complex(f1: tuple, f2: tuple, source_parity: int, mode=FiltrationMode.ALG_ALEX,
                       ids=None) -> BifilteredComplex:
-    """Build a staircase complex from its vertex list.
+    """Build a staircase complex from its vertex columns.
 
     Vertices whose index has `source_parity` carry grading 1 and map onto
     their neighbours; the others carry grading 0 and are cycles.
     """
-    n = len(points)
-    ids = tuple(f"v{i}" for i in range(n)) if ids is None else tuple(ids)
-    gradings = tuple(1 if i % 2 == source_parity else 0 for i in range(n))
-    targets = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) if g else ()
-                    for i, g in enumerate(gradings))
-    return BifilteredComplex.indexed(ids, gradings, tuple(p[0] for p in points),
-                                     tuple(p[1] for p in points), targets, mode)
+    n = len(f1)
+    ids = tuple([f"v{i}" for i in range(n)]) if ids is None else tuple(ids)
+    gradings = [0] * n
+    gradings[source_parity::2] = [1] * len(range(source_parity, n, 2))
+    targets = [()] * n
+    targets[source_parity::2] = zip(range(source_parity - 1, n - 1, 2),
+                                    range(source_parity + 1, n + 1, 2))
+    for i in {0, n - 1}:  # an end vertex has one neighbour
+        if gradings[i]:
+            targets[i] = tuple(j for j in (i - 1, i + 1) if 0 <= j < n)
+    return BifilteredComplex.indexed(ids, tuple(gradings), f1, f2, tuple(targets), mode)
 
 
 def staircase_from_steps(spec: StaircaseSpec) -> BifilteredComplex:
@@ -114,8 +112,7 @@ def staircase_from_steps(spec: StaircaseSpec) -> BifilteredComplex:
     if spec.sign is Sign.NEGATIVE:
         return mirror(staircase_from_steps(StaircaseSpec(spec.steps, Sign.POSITIVE)))
     start = (0, sum(spec.steps[1::2]))
-    points = staircase_points(spec.steps, start, "right")
-    return staircase_complex(points, source_parity=1)
+    return staircase_complex(*staircase_points(spec.steps, start, "right"), source_parity=1)
 
 
 def unknot_complex() -> BifilteredComplex:
@@ -131,7 +128,7 @@ def mirror(C: BifilteredComplex) -> BifilteredComplex:
     for i, ts in enumerate(C.targets):
         for j in ts:
             sources[j].append(i)
-    gradings, f1, f2 = (tuple(-v for v in col) for col in (C.gradings, C.f1, C.f2))
+    gradings, f1, f2 = (tuple([-v for v in col]) for col in (C.gradings, C.f1, C.f2))
     return BifilteredComplex.indexed(C.ids, gradings, f1, f2, tuple(map(tuple, sources)),
                                      FiltrationMode.ALG_ALEX)
 

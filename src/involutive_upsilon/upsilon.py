@@ -72,9 +72,8 @@ def tower_upsilon(C: BifilteredComplex, grading: int) -> PLFunction:
     merges of the hulls.  Any wider column goes to `_sweep_upsilon`.
     """
     lines, base, boundaries = _tower(C, grading)
-    if all(len(b) <= 2 for b in boundaries):
-        return _forest_upsilon(lines, base, boundaries)
-    return _sweep_upsilon(lines, base, boundaries)
+    f = _forest_upsilon(lines, base, boundaries)
+    return _sweep_upsilon(lines, base, boundaries) if f is None else f
 
 
 def _tower(C: BifilteredComplex, grading: int):
@@ -86,15 +85,20 @@ def _tower(C: BifilteredComplex, grading: int):
     if len(reps) != 1:
         raise ValueError(
             f"homology rank in grading {grading} is {len(reps)}, need exactly 1")
-    lines = [(C.f1[i] - C.f2[i], 2 * ((C.gradings[i] - grading) // 2 - C.f1[i]))
-             for i in indices]
+    f1, f2, gr = C.f1, C.f2, C.gradings
+    lines = [(f1[i] - f2[i], 2 * ((gr[i] - grading) // 2 - f1[i])) for i in indices]
     return lines, reps[0], boundaries
 
 
-def _forest_upsilon(lines, base, boundaries) -> PLFunction:
-    """The forest path of `tower_upsilon`: every column has <= 2 positions."""
-    n = len(lines)  # the ground: a 1-entry column joins its position to it
-    roots = gf2.components(n + 1, (col if len(col) == 2 else (col[0], n) for col in boundaries))
+def _forest_upsilon(lines, base, boundaries) -> PLFunction | None:
+    """The forest path of `tower_upsilon`; None if a column has three or
+    more positions."""
+    n, pairs = len(lines), []  # the ground n: a 1-entry column joins its position to it
+    for col in boundaries:
+        if len(col) > 2:
+            return None
+        pairs.append(col if len(col) == 2 else (col[0], n))
+    roots = gf2.components(n + 1, pairs)
     odd = set()
     for k in base:
         odd ^= {roots[k]}
@@ -106,22 +110,25 @@ def _forest_upsilon(lines, base, boundaries) -> PLFunction:
     hulls = deque(map(_upper_envelope, members.values()))
     while len(hulls) > 1:  # pairwise, so each piece is merged O(log m) times
         hulls.append(_lower_envelope(hulls.popleft(), hulls.popleft()))
-    return PLFunction.from_pieces((Fraction(*t), line) for t, line in hulls[0])
+    return PLFunction(tuple(hulls[0]))
 
 
 def _upper_envelope(lines) -> list:
     """Pieces (start, line) of the largest of integer lines on [0, 2], each
     start an integer pair (num, den) with den > 0."""
-    hull = []  # the envelope on the whole real line, slopes increasing
+    hull, top = [], None  # the envelope on the whole real line, slopes increasing
     for s, b in sorted(lines):
-        while hull and hull[-1][0] == s:  # the same slope, a lower intercept
+        if top == s:  # the same slope as the top line, a lower intercept
             hull.pop()
-        # the top line is hidden once the new line meets the one below it
-        # no later than the top line does
-        while len(hull) > 1 and ((hull[-2][1] - b) * (hull[-1][0] - hull[-2][0])
-                                 <= (hull[-2][1] - hull[-1][1]) * (s - hull[-2][0])):
+        # the top line (s1, b1) is hidden once the new line meets the one
+        # below it (s2, b2) no later than the top line does
+        while len(hull) > 1:
+            (s2, b2), (s1, b1) = hull[-2], hull[-1]
+            if (b2 - b) * (s1 - s2) > (b2 - b1) * (s - s2):
+                break
             hull.pop()
         hull.append((s, b))
+        top = s
     pieces = [((0, 1), hull[0])]
     for (s0, b0), line in zip(hull, hull[1:]):
         num, den = b0 - line[1], line[0] - s0  # where `line` takes over
@@ -197,24 +204,25 @@ def _sweep_upsilon(lines, base, boundaries) -> PLFunction:
         pos = [0] * n
         for j, k in enumerate(order):
             pos[k] = n - 1 - j
-        _, rows = gf2.reduce_columns(map(pos.__getitem__, vec) for vec in (*boundaries, base))
+        _, rows = gf2.reduce_columns([tuple([pos[k] for k in vec])
+                                      for vec in (*boundaries, base)])
         lead, (r, _) = rows.popitem()  # the base's row, the last one stored
         slope, icpt = lines[order[n - 1 - lead]]
-        pieces.append((Fraction(p, q), (slope, icpt)))  # PLFunction merges repeats
+        pieces.append(((p, q), (slope, icpt)))  # PLFunction merges repeats
         dual = {lead}
         for top in sorted(rows):
-            if top > lead and len(rows[top][0] & dual) & 1:
+            if top > lead and len(dual.intersection(rows[top][0])) & 1:
                 dual.add(top)
         # the first crossing xn / xd > t of L by a watched line, with xd >= 0 (a
         # parallel line has xd = 0 and never passes); t = 2 ends the sweep
         num, den = 2, 1
-        for j in r | dual:
+        for j in dual.union(r):
             s, b = lines[order[n - 1 - j]]
             xn, xd = (b - icpt, slope - s) if s < slope else (icpt - b, s - slope)
             if xn * q > p * xd and xn * den < num * xd:
                 num, den = xn, xd
         if num == 2 * den:
-            return PLFunction.from_pieces(pieces)
+            return PLFunction(tuple(pieces))
         p, q = num, den
 
 

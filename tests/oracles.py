@@ -6,14 +6,15 @@ coset at fixed t, nu on a padded window by its own elimination at fixed t,
 torus-knot steps from the semigroup gap description of the Alexander
 polynomial, classic Upsilon of L-space knots from the corners of the
 staircase, the closed form of classic Upsilon for T(p, p+1), the
-complex file text from the standard library's `json.dumps`, and
-connected components by breadth-first search.
+complex file text from the standard library's `json.dumps`,
+connected components by breadth-first search, and chain-map violations
+from id pairs with multiplicities counted.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -299,3 +300,30 @@ def json_dump(C, involution=None):
     if involution is not None:
         d["involution"] = edges(involution)
     return json.dumps(d, indent=2) + "\n"
+
+
+def chain_map_messages(M, skew=False):
+    """The violations `chain_map_violations` reports, read off id pairs:
+    grading and bidegree problems of each arrow (x, y) of M in (x, y)
+    order, then each generator whose images under dM and Md differ, each
+    image counted with multiplicity and taken mod 2, in generator order."""
+    src = {g.id: g for g in M.source.generators}
+    tgt = {g.id: g for g in M.target.generators}
+    out, kind = [], "skew-filtered" if skew else "filtered"
+    for x, y in sorted(M.arrows):
+        gx, gy = src[x], tgt[y]
+        if gy.grading != gx.grading:
+            out.append(f"{x}->{y}: grading {gx.grading} -> {gy.grading} not preserved")
+        bound = (gx.f2, gx.f1) if skew else (gx.f1, gx.f2)
+        if gy.f1 > bound[0] or gy.f2 > bound[1]:
+            out.append(f"{x}->{y}: bidegree {(gy.f1, gy.f2)} exceeds {bound}, not {kind}")
+    image = {x: [] for x in src}
+    for x, y in M.arrows:
+        image[x].append(y)
+    d_src, d_tgt = boundary_ids(M.source), boundary_ids(M.target)
+    for g in M.source.generators:
+        left = Counter(c for t in d_src[g.id] for c in image[t])
+        right = Counter(c for y in image[g.id] for c in d_tgt[y])
+        if {c for c, k in left.items() if k % 2} != {c for c, k in right.items() if k % 2}:
+            out.append(f"{g.id}: does not commute with the differential")
+    return out

@@ -146,7 +146,9 @@ def test_homology_reduces_each_parity_class_once(t37, monkeypatch):
 def test_homology_memory_is_linear_on_staircases():
     """A vector held by the reduction costs its support, so the homology of
     [1,2]*k+[2,1]*k peaks about x2 per doubling of its generators; vectors
-    costing their highest position would give about x3.4."""
+    costing their highest position would give about x3.4.  A row that no
+    row operation touched is its column's own tuple, so the peak stays
+    under 320 B per generator (sets for every row peak near 520)."""
     peaks = []
     for k in (2500, 5000):  # 10001 and 20001 generators
         C = staircase_from_steps(StaircaseSpec((1, 2) * k + (2, 1) * k, Sign.POSITIVE))
@@ -157,6 +159,7 @@ def test_homology_memory_is_linear_on_staircases():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2.2 * peaks[0], peaks
+    assert peaks[1] <= 320 * C.n, (peaks, C.n)
 
 
 def test_homology_ordering_invariance(t25):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ from involutive_upsilon import (BifilteredComplex, ChainMap, FiltrationMode,
                                 unknot_complex, upsilon, UpsilonVariant, validate)
 from involutive_upsilon.cli import build_knot, parse_knot_spec
 from involutive_upsilon.involutive import chain_map_violations
-from involutive_upsilon.verify import symmetric_specs
+from involutive_upsilon.verify import VerifySettings, staircase_corpus, symmetric_specs
+from oracles import chain_map_messages
 
 
 def test_fold_reflected_pair(t37):
@@ -168,6 +170,51 @@ def test_chain_map_violations_order():
         "q: does not commute with the differential",
         "b: does not commute with the differential",
         "m: does not commute with the differential"]
+
+
+def _perturbed_involutions(rng):
+    """Staircase involutions of `staircase_corpus` with one image moved or
+    added, one arrow of d flipped, or one grading or bidegree broken."""
+    for spec in staircase_corpus(VerifySettings()):
+        C = staircase_from_steps(spec)
+        if not spec.symmetric or C.n < 3:
+            continue
+        images = list(staircase_involution(C).images)
+        cols = [list(C.gradings), list(C.f1), list(C.f2)]
+        targets = list(C.targets)
+        i, j = rng.randrange(C.n), rng.randrange(C.n)
+        kind = rng.choice(("move", "add", "flip", "column"))
+        if kind == "move":
+            images[i] = (j,)
+        elif kind == "add":
+            images[i] = tuple(sorted({*images[i], j}))
+        elif kind == "flip":
+            targets[i] = tuple(sorted({*targets[i]} ^ {j}))
+        else:
+            cols[rng.randrange(3)][i] += rng.choice((-1, 1))
+        D = BifilteredComplex.indexed(C.ids, *map(tuple, cols), tuple(targets), C.mode)
+        yield ChainMap.indexed(D, D, tuple(images))
+
+
+def test_skew_gate_reports_what_the_check_reports():
+    """On seeded perturbations of staircase involutions and on the
+    figure-eight-shaped (a -> a + x), T(2,3)+arrow and T(2,3)+square files,
+    each also with one involution pair dropped, the gate's cached
+    `skew_violations` is `chain_map_violations(M, skew=True)` message for
+    message, and both are what an oracle reading id pairs reports."""
+    from test_cli import FIGURE_EIGHT_SHAPED, T23_PLUS_ARROW, T23_PLUS_SQUARE
+    maps = list(_perturbed_involutions(random.Random(28)))
+    for doc in (FIGURE_EIGHT_SHAPED, T23_PLUS_ARROW, T23_PLUS_SQUARE):
+        C, arrows = loads_complex(json.dumps(doc))
+        maps += [ChainMap(C, C, arrows), ChainMap(C, C, arrows - {min(arrows)})]
+    assert len(maps) >= 200
+    failing = 0
+    for M in maps:
+        expected = chain_map_messages(M, skew=True)
+        assert M.skew_violations == tuple(chain_map_violations(M, skew=True))
+        assert list(M.skew_violations) == expected, M.source.ids
+        failing += bool(expected)
+    assert 100 <= failing < len(maps), failing
 
 
 def test_chain_map_reports_the_least_unknown_id(t25):

@@ -79,3 +79,35 @@ def test_format_plfunction():
 def test_plfunction_csv():
     f = PLFunction.from_breakpoints(((0, 0), (Fraction(2, 3), -4), (2, -4)))
     assert plfunction_csv(f) == "t,value\n0,0\n2/3,-4\n2,-4\n"
+
+
+def test_starts_are_integer_pairs_inside_and_fractions_outside():
+    """Starts are stored as reduced (num, den) pairs, but `pieces()`,
+    `breakpoints` and evaluation give Fractions, and int starts, Fraction
+    starts and unreduced pairs make one function."""
+    from_ints = PLFunction.from_pieces([(0, (-6, 0)), (1, (0, -6))])
+    from_fractions = PLFunction.from_pieces([(Fraction(0), (-6, 0)), (Fraction(1), (0, -6))])
+    unreduced = PLFunction((((0, 5), (-6, 0)), ((3, 3), (0, -6))))
+    assert from_ints == from_fractions == unreduced
+    assert hash(from_ints) == hash(from_fractions) == hash(unreduced)
+    assert all(type(t) is Fraction for f in (from_ints, unreduced) for t, _ in f.pieces())
+    assert all(type(t) is Fraction for t, _ in from_ints.breakpoints)
+    assert from_ints.pieces() == ((0, (-6, 0)), (1, (0, -6)))
+    assert from_ints(Fraction(1, 2)) == -3 and from_ints(2) == -6
+
+
+def test_text_and_csv_do_not_depend_on_the_start_form():
+    """The engine's functions print as the same functions rebuilt from
+    Fraction starts, byte for byte."""
+    from involutive_upsilon import (Sign, StaircaseSpec, UpsilonVariant, staircase_from_steps,
+                                    upsilon)
+    from involutive_upsilon.verify import symmetric_specs
+    for steps in symmetric_specs(5):
+        for sign in Sign:
+            C = staircase_from_steps(StaircaseSpec(steps, sign))
+            for which in UpsilonVariant:
+                f = upsilon(C, which)
+                g = PLFunction.from_pieces(f.pieces())
+                assert f == g
+                assert format_plfunction(f) == format_plfunction(g)
+                assert plfunction_csv(f) == plfunction_csv(g)

@@ -288,7 +288,10 @@ def test_reduce_columns_rows_and_kernel():
     """The one elimination serves the homology (its kernel and the columns
     its rows name) and the Upsilon sweep (its rows and their combinations);
     checked against brute-force spans on seeded small inputs, with zero and
-    repeated columns given as tuples, lists and sets of positions."""
+    repeated columns given as tuples, lists and sets of positions.  A column
+    that takes its pivot untouched is stored as given, with (i,) as its
+    combination, a zero column's kernel vector is (i,), and no column given
+    is changed."""
     rng = random.Random(20261021)
     for _ in range(300):
         cols = [rng.sample(range(10), rng.randint(0, 10)) for _ in range(rng.randint(0, 10))]
@@ -313,10 +316,16 @@ def test_reduce_columns_rows_and_kernel():
         assert len(rows) == len(span).bit_length() - 1, cols
         assert [max(combo) for _, combo in rows.values()] == grew, cols
         for top, (row, combo) in rows.items():
-            assert max(row) == top and xor(combo) == row, cols
+            assert max(row) == top and xor(combo) == set(row), cols
         assert len(kernel) + len(rows) == len(cols)
         assert sorted(max(z) for z in kernel) == sorted(set(range(len(cols))) - set(grew)), cols
         assert all(z and xor(z) == set() for z in kernel), cols
+        for i, c in enumerate(cols):  # untouched: no row stored before column i has c's top
+            before = {top for top, (_, combo) in rows.items() if max(combo) < i}
+            untouched = bool(c) and max(c) not in before
+            assert any(row is given[i] and combo == (i,) for row, combo in rows.values()) \
+                == untouched, cols
+            assert (not c) == ((i,) in kernel), cols
 
 
 def test_strip_keeps_every_component_with_homology(t23, t25):
